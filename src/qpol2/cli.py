@@ -94,11 +94,6 @@ def _subsample(ensemble: KrausEnsemble, max_paths, seed) -> KrausEnsemble:
 
 def _cmd_mc(args) -> int:
     cfg = fileio.read_mc_config(args.config)
-    mu_s = float(cfg["mu_s"])
-    g = float(cfg["g"])
-    acceptance = math.radians(float(cfg.get("acceptance_deg", 5.0)))
-    n_photons = int(cfg["n_photons"])
-    seed = int(cfg["seed"])
 
     def emit(tag, medium):
         ensemble = _subsample(simulate(medium, n_photons, seed), args.max_paths, seed)
@@ -110,6 +105,11 @@ def _cmd_mc(args) -> int:
         print(f"eta={_fmt(effective_thickness(medium))} m={_fmt(fit.params[0])}")
 
     try:
+        mu_s = float(cfg["mu_s"])
+        g = float(cfg["g"])
+        acceptance = math.radians(float(cfg.get("acceptance_deg", 5.0)))
+        n_photons = int(cfg["n_photons"])
+        seed = int(cfg["seed"])
         if "d" in cfg:
             media = [("", Medium(mu_s, g, float(cfg["d"]), acceptance))]
         else:
@@ -117,7 +117,7 @@ def _cmd_mc(args) -> int:
                 (f".{i}", Medium(mu_s, g, eta / (mu_s * (1.0 - g)), acceptance))
                 for i, eta in enumerate(float(e) for e in cfg["eta_grid"])
             ]
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{args.config}: {exc}") from exc
     for tag, medium in media:
         emit(tag, medium)
@@ -183,7 +183,7 @@ def _cmd_fit(args) -> int:
 def _cmd_image(args) -> int:
     k_in = fileio.load_tensor(args.kin)
     grid = fileio.read_grid(args.grid)
-    pm = reconstruct_image(k_in, grid, model=args.model, threads=args.threads)
+    pm = reconstruct_image(k_in, grid, model=args.model)
     fileio.write_pixel_map(pm, args.out_dir)
     finite = pm.residuals[np.isfinite(pm.residuals)]
     max_resid = finite.max() if finite.size else float("nan")
@@ -245,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kin", required=True, help="shared input tensor (CSV or JSON)")
     p.add_argument("--grid", required=True, help="binary pixel-tensor grid")
     p.add_argument("--model", choices=["isotropic", "diagonal"], default="diagonal")
-    p.add_argument("--threads", type=int,
-                   default=None, help="worker threads (default: QPOL2_THREADS)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_image)
 

@@ -105,8 +105,8 @@ def kraus_from_json(path) -> KrausEnsemble:
     weights = []
     jones = []
     for item in items:
-        if "w" not in item:
-            raise FormatError(f"{path}: ensemble item lacks a weight")
+        if not isinstance(item, dict) or "w" not in item:
+            raise FormatError(f"{path}: ensemble item is not an object with a weight")
         weights.append(float(item["w"]))
         jones.append(_matrix_from_payload(item))
     return KrausEnsemble(np.array(weights), np.array(jones))

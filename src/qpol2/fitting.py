@@ -7,8 +7,6 @@ diagnostics quantifying when such fits are identifiable, and per-pixel
 image reconstruction.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,9 +36,9 @@ class FitResult:
 
     ``params`` holds 1 (isotropic), 3 (diagonal), or 15 (general, row-major
     without M00) numbers; M00 is always fixed to 1.  ``iterations`` counts
-    objective evaluations.  ``converged`` means the optimizer reported
-    success and, when a residual tolerance was configured, the residual is
-    below it.
+    solver steps for the diagonal models and objective evaluations for the
+    general one.  ``converged`` means the optimizer met a tolerance and,
+    when a residual tolerance was configured, the residual is below it.
     """
 
     model: str
@@ -119,73 +117,98 @@ def _check_tensor_pair(k_in, k_out):
     k_out = np.asarray(k_out, dtype=float)
     if k_in.shape != (4, 4) or k_out.shape != (4, 4):
         raise ValueError("correlation tensors must be 4x4")
+    if not (np.isfinite(k_in).all() and np.isfinite(k_out).all()):
+        raise ValueError("correlation tensors must be finite")
     if abs(k_in[0, 0] - 1.0) > 1e-8:
         raise ValueError("input tensor must have K00 = 1")
     return k_in, k_out
 
 
-def _diag_mueller(x) -> np.ndarray:
-    m = np.eye(4)
-    m[1, 1], m[2, 2], m[3, 3] = x
-    return m
+def _diagonal_residual(k_in, k_out, x):
+    """Diagonals v = (1, x), residuals V K_in V - K_out with V = diag(v), and
+    their sums of squares, for parameters x of shape (P, 1 or 3)."""
+    v = np.ones((len(x), 4))
+    v[:, 1:] = x
+    r = v[:, :, None] * k_in * v[:, None, :] - k_out
+    return v, r, (r * r).sum(axis=2).sum(axis=1)
 
 
-def _diagonal_system(k_in, k_out, isotropic):
-    """Residual and Jacobian functions of the diagonal congruence fit."""
+def _solve_diagonal(k_in, k_out, model):
+    """Fit M = diag(1, m) to K_out = M K_in M^T for a stack k_out (P, 4, 4).
 
-    def expand(x):
-        return np.full(3, x[0]) if isotropic else x
+    The start m_a = sqrt(K_out,aa / K_in,aa), clipped to [0, 1] and 0.5 where
+    K_in,aa carries no signal, is the exact optimum for a diagonal k_in.
+    Projected Levenberg-Marquardt steps on the box (Kanzow, Yamashita &
+    Fukushima, J. Comput. Appl. Math. 172, 375, 2004) refine each pixel
+    until its step or first-order cost change falls to ``_FIT_TOL``.  Sums
+    run over at most 4 terms in a fixed order, so a pixel's result does not
+    depend on its batch.  Returns parameters (P, 1 or 3), residual norms,
+    step counts and converged flags.
+    """
+    if model not in ("diagonal", "isotropic"):
+        raise ValueError("model must be 'diagonal' or 'isotropic'")
+    isotropic = model == "isotropic"
+    k_diag, out_diag = np.diagonal(k_in)[1:], np.diagonal(k_out, axis1=1, axis2=2)[:, 1:]
+    signal = np.abs(k_diag) > 0.05
+    if isotropic:  # one least-squares ratio over the three axes
+        out_diag, k_diag = (out_diag * k_diag).sum(axis=1, keepdims=True), k_diag @ k_diag
+        signal = signal.any(keepdims=True)
+    ratio = out_diag / np.where(signal, k_diag, 1.0)
+    x = np.where(signal, np.sqrt(np.clip(ratio, 0, 1)), 0.5)
 
-    def fun(x):
-        m = _diag_mueller(expand(x))
-        return (m @ k_in @ m.T - k_out).ravel()
-
-    def jac(x):
-        m = _diag_mueller(expand(x))
-        km = k_in @ m.T
-        mk = m @ k_in
-        cols = []
-        for a in (1, 2, 3):
-            d = np.zeros((4, 4))
-            d[a, :] += km[a, :]
-            d[:, a] += mk[:, a]
-            cols.append(d.ravel())
-        j = np.array(cols).T
+    damping = np.full(len(x), 1e-3)
+    steps = np.zeros(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
+    k2, eye = k_in * k_in, np.eye(x.shape[1])
+    for _ in range(100):  # a pixel still stepping after 100 steps has not converged
+        xs, ks, lam = x[live], k_out[live], damping[live]
+        v, r, cost = _diagonal_residual(k_in, ks, xs)
+        # With the Jacobian dr_ij/dv_a = delta_ia v_j K_aj + delta_ja v_i K_ia
+        # and W = r K, the gradient is (W + W^T) v and the Hessian is
+        # v_a v_b (K_ab^2 + K_ba^2) + delta_ab sum_j v_j^2 (K_aj^2 + K_ja^2)
+        # (that is J^T J) plus W_ab + W_ba.
+        w = r * k_in
+        grad = (w * v[:, None, :]).sum(axis=2) + (w * v[:, :, None]).sum(axis=1)
+        hess = v[:, :, None] * v[:, None, :] * (k2 + k2.T) + w + w.transpose(0, 2, 1)
+        hess[:, range(4), range(4)] += ((k2 * (v * v)[:, None, :]).sum(axis=2)
+                                        + (k2 * (v * v)[:, :, None]).sum(axis=1))
+        grad, hess = grad[:, 1:], hess[:, 1:, 1:]
         if isotropic:
-            j = j.sum(axis=1, keepdims=True)
-        return j
-
-    return fun, jac
+            grad, hess = grad.sum(1, keepdims=True), hess.sum(2).sum(1)[:, None, None]
+        # A parameter on a bound whose gradient points out of the box stays put.
+        free = ~(((xs <= 0) & (grad > 0)) | ((xs >= 1) & (grad < 0)))
+        lhs = hess * (free[:, :, None] & free[:, None, :]) + lam[:, None, None] * eye
+        step = np.linalg.solve(lhs, -np.where(free, grad, 0.0)[:, :, None])[:, :, 0]
+        trial = np.clip(xs + step, 0, 1)
+        better = _diagonal_residual(k_in, ks, trial)[2] <= cost
+        x[live[better]] = trial[better]
+        # The floor keeps lhs invertible when a parameter does not act on r.
+        damping[live] = np.where(better, np.maximum(lam / 10, 1e-10), lam * 10)
+        # |grad . step| stays measurable where the cost no longer resolves a step.
+        moved = trial - xs
+        done = ((np.abs((grad * moved).sum(axis=1)) <= _FIT_TOL * cost)
+                | (np.abs(moved).max(axis=1) <= _FIT_TOL))
+        steps[live] += 1
+        converged[live[done]] = True
+        live = live[~done]
+        if not live.size:
+            break
+    return x, np.sqrt(_diagonal_residual(k_in, k_out, x)[2]), steps, converged
 
 
 def fit_diagonal(k_in, k_out, model="diagonal", residual_tol=None) -> FitResult:
     """Fit M = diag(1, m11, m22, m33) to K_out = M K_in M^T.
 
     ``model`` is "diagonal" (three parameters) or "isotropic"
-    (m11 = m22 = m33).  Parameters are box-constrained to [0, 1].
+    (m11 = m22 = m33).  Parameters are box-constrained to [0, 1].  This is
+    a one-pixel call of the batched solver behind ``reconstruct_image``.
     """
     k_in, k_out = _check_tensor_pair(k_in, k_out)
-    if model not in ("diagonal", "isotropic"):
-        raise ValueError("model must be 'diagonal' or 'isotropic'")
-    isotropic = model == "isotropic"
-    fun, jac = _diagonal_system(k_in, k_out, isotropic)
-
-    # Seed from the diagonal ratio where the input tensor has signal.
-    guess = np.full(3, 0.5)
-    for a in (1, 2, 3):
-        if abs(k_in[a, a]) > 0.05:
-            guess[a - 1] = np.clip(
-                np.sqrt(abs(k_out[a, a] / k_in[a, a])), 0.0, 1.0
-            )
-    x0 = np.array([guess.mean()]) if isotropic else guess
-
-    res = least_squares(
-        fun, x0, jac=jac, bounds=(0.0, 1.0), method="trf",
-        xtol=_FIT_TOL, ftol=_FIT_TOL, gtol=_FIT_TOL,
-    )
-    residual = float(np.linalg.norm(res.fun))
-    converged = bool(res.success) and (residual_tol is None or residual <= residual_tol)
-    return FitResult(model, res.x.copy(), residual, int(res.nfev), converged)
+    params, residual, steps, ok = _solve_diagonal(k_in, k_out[None], model)
+    residual = float(residual[0])
+    converged = bool(ok[0]) and (residual_tol is None or residual <= residual_tol)
+    return FitResult(model, params[0], residual, int(steps[0]), converged)
 
 
 def _general_mueller(x) -> np.ndarray:
@@ -334,45 +357,26 @@ def stabilizer_dimension(tensors) -> StabilizerReport:
     )
 
 
-def reconstruct_image(k_in, pixel_tensors, model="diagonal", threads=None) -> PixelMap:
+def reconstruct_image(k_in, pixel_tensors, model="diagonal") -> PixelMap:
     """Fit the diagonal depolarizer model independently at every pixel.
 
     ``pixel_tensors`` is an (H, W, 4, 4) array of output tensors sharing the
-    input tensor ``k_in``.  Per-pixel failures are recorded as NaN values
-    with ``converged`` False rather than aborting the image.  ``threads``
-    defaults to the QPOL2_THREADS environment variable (serial if unset);
-    results are identical for any thread count.
+    input tensor ``k_in``.  One call of the solver behind ``fit_diagonal``
+    fits all pixels, each bitwise as ``fit_diagonal`` would.  Pixels with
+    non-finite tensors are recorded as NaN values with ``converged`` False;
+    a bad ``model`` or ``k_in`` raises ValueError.
     """
     pixel_tensors = np.asarray(pixel_tensors, dtype=float)
     if pixel_tensors.ndim != 4 or pixel_tensors.shape[2:] != (4, 4):
         raise ValueError("pixel tensors must have shape (H, W, 4, 4)")
     height, width = pixel_tensors.shape[:2]
-    n_params = 1 if model == "isotropic" else 3
-    values = np.full((height, width, n_params), np.nan)
+    ok = np.isfinite(pixel_tensors).all(axis=(2, 3))
+    values = np.full((height, width, 1 if model == "isotropic" else 3), np.nan)
     residuals = np.full((height, width), np.nan)
     converged = np.zeros((height, width), dtype=bool)
-
-    def run(idx):
-        h, w = idx
-        try:
-            fit = fit_diagonal(k_in, pixel_tensors[h, w], model=model)
-            return idx, fit.params, fit.residual, fit.converged
-        except Exception:
-            return idx, None, np.nan, False
-
-    if threads is None:
-        threads = int(os.environ.get("QPOL2_THREADS", "1"))
-    indices = [(h, w) for h in range(height) for w in range(width)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, indices))
-    else:
-        results = [run(idx) for idx in indices]
-    for (h, w), params, resid, ok in results:
-        if params is not None:
-            values[h, w] = params
-        residuals[h, w] = resid
-        converged[h, w] = ok
+    k_in, _ = _check_tensor_pair(k_in, k_in)  # checks k_in alone
+    values[ok], residuals[ok], _, converged[ok] = _solve_diagonal(
+        k_in, pixel_tensors[ok], model)
     return PixelMap(width, height, model, values, residuals, converged)
 
 

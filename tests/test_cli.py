@@ -173,6 +173,10 @@ def test_mc_config_errors(capsys, tmp_path):
     assert run(capsys, "mc", "--config", badg, "--out", str(tmp_path / "y"))[0] == 2
     missing = str(tmp_path / "absent.json")
     assert run(capsys, "mc", "--config", missing, "--out", str(tmp_path / "z"))[0] == 2
+    words = write_mc_config(
+        tmp_path / "words.json", mu_s=1.0, g=0.5, d=0.1, n_photons="many", seed=0
+    )
+    assert run(capsys, "mc", "--config", words, "--out", str(tmp_path / "w"))[0] == 2
 
 
 # --------------------------------------------------------------- propagate
@@ -246,6 +250,16 @@ def test_propagate_file_errors(capsys, tmp_path):
         "--channel", str(channel), "--out", str(tmp_path / "o"),
     )
     assert code == 2
+    state = tmp_path / "bell.json"
+    fileio.density_to_json(bell_state(), state)
+    numbers = tmp_path / "numbers.json"
+    fileio.write_json({"items": [1, 2]}, numbers)
+    code, _, err = run(
+        capsys, "propagate", "--state", str(state), "--channel", str(numbers),
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert "Traceback" not in err
 
 
 # -------------------------------------------------------------------- tomo
@@ -411,7 +425,7 @@ def test_image_single_pixel(capsys, tmp_path):
     out_dir = tmp_path / "one"
     code, out, _ = run(
         capsys, "image", "--kin", str(kin), "--grid", str(grid),
-        "--out-dir", str(out_dir), "--threads", "2",
+        "--out-dir", str(out_dir),
     )
     assert code == 0
     assert "pixels=1" in out

@@ -86,6 +86,10 @@ def test_kraus_json_validation(tmp_path):
     )
     with pytest.raises(FormatError):
         fileio.kraus_from_json(missing_w)
+    numbers = tmp_path / "numbers.json"
+    fileio.write_json({"items": [1, 2]}, numbers)
+    with pytest.raises(FormatError):
+        fileio.kraus_from_json(numbers)
     # A structurally valid file with unphysical weights fails ensemble checks.
     bad_sum = tmp_path / "badsum.json"
     fileio.write_json(
