@@ -2,9 +2,10 @@
 
 A channel is a weighted ensemble of 2x2 Jones matrices; the Kraus
 operators are U_k = sqrt(w_k) J_k.  The same ensemble yields a Mueller
-matrix M_ij = (1/2) Tr[sigma_i sum_k U_k sigma_j U_k^dagger], and for the
-two-photon configuration in which each photon samples an independent
-realization the output correlation tensor obeys K_out = M K_in M^T.
+matrix M_ij = (1/2) Tr[sigma_i sum_k U_k sigma_j U_k^dagger], computed from
+the coherency sum_k U_k (x) U_k*.  Every channel mode applies it: linearly
+when one photon crosses (S_out = M S_in, K_out = M K_in), quadratically
+when both cross independent realizations (K_out = M K_in M^T).
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ChannelError, NotCompletelyPositiveError, UnphysicalStateError
-from .polarization import PAULI, check_density
+from .polarization import (PAULI, check_density, correlation_tensor, density_to_stokes,
+                           stokes_to_density, tensor_to_density)
 
 __all__ = [
     "KrausEnsemble",
@@ -49,6 +51,8 @@ class KrausEnsemble:
         j = np.asarray(self.jones, dtype=complex)
         if w.ndim != 1 or j.shape != (w.size, 2, 2):
             raise ChannelError("ensemble needs weights (K,) and jones (K, 2, 2)")
+        if not (np.isfinite(w).all() and np.isfinite(j).all()):
+            raise ChannelError("ensemble weights and Jones entries must be finite")
         if w.min() < -1e-12:
             raise ChannelError("ensemble weights must be nonnegative")
         if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
@@ -82,73 +86,83 @@ class KrausEnsemble:
         return cls(np.asarray(weights, dtype=float), PAULI.copy())
 
 
-def _apply_kraus(u, rho):
-    # sum_k U_k rho U_k^dagger without renormalization
-    return np.einsum("kab,bc,kdc->ad", u, rho, u.conj())
+# With row-major vec, Tr[sigma_i X] = T[i] . vec(X) and vec(U X U^dagger) = C vec(X)
+# for the coherency C = U (x) U*, so M(U) = (1/2) Re(T C T^H), which is the map
+# (1/2) (T (x) T*) on vec(C) (Cloude, Optik 75, 26, 1986).  Row i of T is vec(sigma_i^T).
+_T = np.array([s.T.ravel() for s in PAULI])
+_COHERENCY_TO_MUELLER = 0.5 * np.kron(_T, _T.conj())
 
 
-def _renormalize(rho):
-    trans = np.trace(rho).real
+def _mueller(u, each=False):
+    """Unnormalized Mueller matrix sum_k M(U_k) of Kraus operators u (K, 2, 2), from
+    the coherency summed over k; with ``each`` the (K, 4, 4) stack of the M(U_k)."""
+    c = np.einsum("kab,kcd->kacbd" if each else "kab,kcd->acbd", u, u.conj(),
+                  optimize=True)
+    m = c.reshape(-1, 16) @ _COHERENCY_TO_MUELLER.T
+    return m.real.reshape(c.shape[:-4] + (4, 4))
+
+
+def _output_state(out):
+    """(rho, transmittance) of an unnormalized output Stokes vector or tensor."""
+    trans = out.flat[0]
     if trans <= 1e-15:
         raise ChannelError("channel annihilates state")
-    return rho / trans, trans
+    out = out / trans
+    if out.ndim == 2:
+        return tensor_to_density(out), trans
+    # Rounding in s_out0 (~1e-16) can lift a faint, nearly pure output's DoP past 1.
+    out[1:] /= max(1.0, np.linalg.norm(out[1:]))
+    return stokes_to_density(out), trans
 
 
 def apply_one_photon(ch: KrausEnsemble, rho, arm="none"):
     """Apply the channel to one photon; the other arm (if any) is untouched.
 
     For a 4x4 input, ``arm`` selects which photon traverses the channel
-    ("first" or "second"); this is the one-photon-polarimetry configuration.
+    ("first": K_out = M K_in, or "second": K_out = K_in M^T); this is the
+    one-photon-polarimetry configuration.  A 2x2 input gives S_out = M S_in.
     Returns (rho_out, transmittance) with rho_out renormalized to trace 1
     and transmittance the pre-normalization trace.
     """
     rho = check_density(rho)
-    u = ch.kraus()
+    m = _mueller(ch.kraus())
     if rho.shape == (2, 2):
-        out = _apply_kraus(u, rho)
-    elif rho.shape == (4, 4):
-        if arm == "first":
-            big = np.einsum("kab,cd->kacbd", u, np.eye(2)).reshape(-1, 4, 4)
-        elif arm == "second":
-            big = np.einsum("ab,kcd->kacbd", np.eye(2), u).reshape(-1, 4, 4)
-        else:
-            raise ChannelError("two-photon input requires arm='first' or 'second'")
-        out = _apply_kraus(big, rho)
-    else:
+        return _output_state(m @ density_to_stokes(rho))
+    if rho.shape != (4, 4):
         raise UnphysicalStateError("density matrix must be 2x2 or 4x4")
-    return _renormalize(out)
+    if arm == "first":
+        return _output_state(m @ correlation_tensor(rho))
+    if arm == "second":
+        return _output_state(correlation_tensor(rho) @ m.T)
+    raise ChannelError("two-photon input requires arm='first' or 'second'")
 
 
 def apply_two_photon_independent(ch: KrausEnsemble, rho):
     """Send both photons through independent realizations of the channel.
 
-    Implements rho_out ~ sum_{k,l} (U_k (x) U_l) rho (U_k (x) U_l)^dagger by
-    applying the single-photon channel to each arm in sequence, which is
-    algebraically identical and O(K) instead of O(K^2).  Returns
-    (rho_out, transmittance).
+    The Kraus sum rho_out ~ sum_{k,l} (U_k (x) U_l) rho (U_k (x) U_l)^dagger
+    is the congruence K_out = M K_in M^T in the ensemble's Mueller matrix.
+    Returns (rho_out, transmittance).
     """
-    rho = check_density(rho, dim=4)
-    u = ch.kraus()
-    first = np.einsum("kab,cd->kacbd", u, np.eye(2)).reshape(-1, 4, 4)
-    second = np.einsum("ab,kcd->kacbd", np.eye(2), u).reshape(-1, 4, 4)
-    out = _apply_kraus(second, _apply_kraus(first, rho))
-    return _renormalize(out)
+    k = correlation_tensor(rho)
+    m = _mueller(ch.kraus())
+    return _output_state(m @ k @ m.T)
 
 
 def apply_two_photon_correlated(ch: KrausEnsemble, rho):
     """Send both photons through the same realization of the channel.
 
-    Implements the same-index sum rho_out ~ sum_k (U_k (x) U_k) rho
-    (U_k (x) U_k)^dagger, renormalized.  This differs from the independent
-    mode for multi-element ensembles (a correlated Pauli ensemble leaves the
-    Bell state untouched, for instance) and is provided as the alternative
-    microscopic model.  Returns (rho_out, transmittance).
+    The Kraus operators are U_k (x) U_k = w_k J_k (x) J_k, so the output is
+    the per-realization congruence sum K_out = sum_k M(U_k) K_in M(U_k)^T,
+    renormalized.  The weights enter squared: a lossless uniform Pauli
+    ensemble reports transmittance sum_k w_k^2 = 0.25.  This differs from
+    the independent mode for multi-element ensembles (a correlated Pauli
+    ensemble leaves the Bell state untouched, for instance) and is provided
+    as the alternative microscopic model.  Returns (rho_out, transmittance).
     """
-    rho = check_density(rho, dim=4)
-    u = ch.kraus()
-    big = np.einsum("kab,kcd->kacbd", u, u).reshape(-1, 4, 4)
-    out = _apply_kraus(big, rho)
-    return _renormalize(out)
+    k = correlation_tensor(rho)
+    m = _mueller(ch.kraus(), each=True)
+    return _output_state(np.einsum("kia,ab,kjb->ij", m, k, m, optimize=True))
 
 
 def mueller_from_kraus(ch: KrausEnsemble):
@@ -157,8 +171,7 @@ def mueller_from_kraus(ch: KrausEnsemble):
     M is normalized so that M_00 = 1; the raw M_00 (mean channel
     transmission) is returned separately.
     """
-    u = ch.kraus()
-    raw = 0.5 * np.einsum("iab,kbc,jcd,kad->ij", PAULI, u, PAULI, u.conj()).real
+    raw = _mueller(ch.kraus())
     trans = raw[0, 0]
     if trans <= 1e-15:
         raise ChannelError("channel has zero transmittance")

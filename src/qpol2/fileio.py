@@ -66,7 +66,7 @@ def _matrix_payload(m) -> dict:
 def _matrix_from_payload(doc, key_re="re", key_im="im") -> np.ndarray:
     try:
         m = np.asarray(doc[key_re], dtype=float) + 1j * np.asarray(doc[key_im], dtype=float)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed matrix payload ({exc})") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise FormatError("matrix payload is not square")
@@ -105,10 +105,12 @@ def kraus_from_json(path) -> KrausEnsemble:
     weights = []
     jones = []
     for item in items:
-        if not isinstance(item, dict) or "w" not in item:
-            raise FormatError(f"{path}: ensemble item is not an object with a weight")
+        if not isinstance(item, dict) or not isinstance(item.get("w"), (int, float)):
+            raise FormatError(f"{path}: ensemble item is not an object with a numeric weight")
         weights.append(float(item["w"]))
         jones.append(_matrix_from_payload(item))
+        if jones[-1].shape != (2, 2):
+            raise FormatError(f"{path}: Jones matrices must be 2x2")
     return KrausEnsemble(np.array(weights), np.array(jones))
 
 
@@ -229,6 +231,8 @@ def read_mc_config(path) -> dict:
             raise FormatError(f"{path}: config lacks required key '{key}'")
     if ("d" in doc) == ("eta_grid" in doc):
         raise FormatError(f"{path}: config needs exactly one of 'd' or 'eta_grid'")
+    if "eta_grid" in doc and not (isinstance(doc["eta_grid"], list) and doc["eta_grid"]):
+        raise FormatError(f"{path}: 'eta_grid' must be a nonempty list")
     return doc
 
 

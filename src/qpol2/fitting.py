@@ -218,6 +218,14 @@ def _general_mueller(x) -> np.ndarray:
     return m
 
 
+def _linearized_congruence(a, b) -> np.ndarray:
+    """16x16 matrix of X -> X A + B X^T on row-major vec(X): the linearized
+    congruence, whose entries are single products with 0 or 1."""
+    eye = np.eye(4)
+    return (np.einsum("ia,bj->ijab", eye, a)
+            + np.einsum("ib,ja->ijab", b, eye)).reshape(16, 16)
+
+
 def _general_system(pairs):
     """Residual and Jacobian functions of the 15-parameter congruence fit."""
 
@@ -229,19 +237,8 @@ def _general_system(pairs):
 
     def jac(x):
         m = _general_mueller(x)
-        blocks = []
-        for k_in, _ in pairs:
-            km = k_in @ m.T
-            mk = m @ k_in
-            block = np.zeros((16, 15))
-            for p in range(15):
-                a, b = divmod(p + 1, 4)
-                d = np.zeros((4, 4))
-                d[a, :] += km[b, :]
-                d[:, a] += mk[:, b]
-                block[:, p] = d.ravel()
-            blocks.append(block)
-        return np.vstack(blocks)
+        return np.vstack([_linearized_congruence(k_in @ m.T, m @ k_in)[:, 1:]
+                          for k_in, _ in pairs])
 
     return fun, jac
 
@@ -317,20 +314,6 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
     return FitResult("general", np.asarray(x), residual, nfev, converged)
 
 
-def _stabilizer_operator(tensors) -> np.ndarray:
-    rows = []
-    for k in tensors:
-        k = np.asarray(k, dtype=float)
-        op = np.zeros((16, 16))
-        for a in range(4):
-            for b in range(4):
-                basis = np.zeros((4, 4))
-                basis[a, b] = 1.0
-                op[:, 4 * a + b] = (basis @ k + k @ basis.T).ravel()
-        rows.append(op)
-    return np.vstack(rows)
-
-
 def stabilizer_dimension(tensors) -> StabilizerReport:
     """Dimension of the joint algebra {X : X K_i + K_i X^T = 0}.
 
@@ -342,7 +325,7 @@ def stabilizer_dimension(tensors) -> StabilizerReport:
     tensors = [np.asarray(k, dtype=float) for k in tensors]
     if not tensors:
         raise ValueError("at least one tensor is required")
-    op = _stabilizer_operator(tensors)
+    op = np.vstack([_linearized_congruence(k, k) for k in tensors])
     _, sing, vt = np.linalg.svd(op)
     dim = int(np.sum(sing < _NULL_SPACE_REL_TOL * sing[0]))
     if dim:

@@ -16,6 +16,18 @@ PAULI_SIGNS = np.array(
     [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
 )
 
+_EYE2 = {"re": np.eye(2).tolist(), "im": np.zeros((2, 2)).tolist()}
+_EYE3 = {"re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}
+
+#: Malformed Kraus JSON "items" lists; each must be a FormatError (CLI exit 2).
+MALFORMED_KRAUS_ITEMS = {
+    "re_object": [{"w": 1.0, "re": {"a": 1}, "im": np.zeros((2, 2)).tolist()}],
+    "w_null": [dict(_EYE2, w=None)],
+    "w_string": [dict(_EYE2, w="x")],
+    "jones_3x3": [dict(_EYE3, w=1.0)],
+    "jones_mixed": [dict(_EYE2, w=0.5), dict(_EYE3, w=0.5)],
+}
+
 
 def random_density(rng, dim=4):
     """Full-rank random density matrix (Ginibre ensemble)."""

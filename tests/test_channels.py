@@ -25,6 +25,7 @@ from conftest import (
     random_cptp_ensemble,
     random_density,
     random_product_density,
+    random_pure_density,
 )
 
 
@@ -39,6 +40,10 @@ def test_ensemble_validation():
         KrausEnsemble(np.array([1.0]), np.eye(2))  # jones must be (K, 2, 2)
     with pytest.raises(ChannelError):
         KrausEnsemble(np.array([1.0]), 2 * np.eye(2)[None])  # gain > 1
+    with pytest.raises(ChannelError):
+        KrausEnsemble(np.array([np.nan]), np.eye(2)[None])  # NaN passes < and >
+    with pytest.raises(ChannelError):
+        KrausEnsemble(np.array([1.0]), np.full((1, 2, 2), np.nan))
 
 
 def test_identity_ensemble_kraus():
@@ -94,25 +99,41 @@ def test_polarizer_annihilates_orthogonal_state():
     v_state = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(ChannelError):
         apply_one_photon(polarizer, v_state)
+    # A faint output (transmittance 1e-8) is still the polarizer's pure state.
+    for seed in range(10):
+        p = random_pure_density(np.random.default_rng(seed), 2)
+        rho = 1e-8 * p + (1 - 1e-8) * (np.eye(2) - p)
+        out, trans = apply_one_photon(KrausEnsemble(np.array([1.0]), p[None]), rho)
+        assert np.isclose(trans, 1e-8, rtol=1e-6)
+        assert np.allclose(out, p, atol=1e-6)
 
 
 def test_two_photon_independent_matches_double_sum():
-    # The sequential per-arm application must equal the explicit
-    # sum_{k,l} (U_k (x) U_l) rho (U_k (x) U_l)^dagger.
+    # The Mueller congruence must equal the explicit
+    # sum_{k,l} (U_k (x) U_l) rho (U_k (x) U_l)^dagger; the one-photon modes
+    # (either arm of a pair, or a lone photon) the sum with U_l = I.
     for seed in range(15):
         rng = np.random.default_rng(seed)
         ch = random_cptp_ensemble(rng, k=int(rng.integers(1, 4)))
         rho = random_density(rng)
-        out, trans = apply_two_photon_independent(ch, rho)
+        rho1 = random_density(rng, 2)
         u = ch.kraus()
-        direct = np.zeros((4, 4), dtype=complex)
-        for uk in u:
-            for ul in u:
-                big = np.kron(uk, ul)
-                direct += big @ rho @ big.conj().T
-        direct_trans = np.trace(direct).real
-        assert np.isclose(trans, direct_trans, atol=1e-12)
-        assert np.allclose(out, direct / direct_trans, atol=1e-12)
+        eye = [np.eye(2)]
+        cases = [
+            (apply_two_photon_independent(ch, rho), rho, u, u),
+            (apply_one_photon(ch, rho, arm="first"), rho, u, eye),
+            (apply_one_photon(ch, rho, arm="second"), rho, eye, u),
+            (apply_one_photon(ch, rho1), rho1, u, [np.eye(1)]),
+        ]
+        for (out, trans), rho_in, first, second in cases:
+            direct = np.zeros_like(rho_in)
+            for uk in first:
+                for ul in second:
+                    big = np.kron(uk, ul)
+                    direct += big @ rho_in @ big.conj().T
+            direct_trans = np.trace(direct).real
+            assert np.isclose(trans, direct_trans, atol=1e-12)
+            assert np.allclose(out, direct / direct_trans, atol=1e-12)
 
 
 def test_two_photon_correlated_matches_same_index_sum():

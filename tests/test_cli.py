@@ -12,7 +12,7 @@ from qpol2 import (
     kraus_from_diagonal_mueller,
     propagate_tensor,
 )
-from conftest import K_BELL, concurrence_state
+from conftest import K_BELL, MALFORMED_KRAUS_ITEMS, concurrence_state
 
 
 def run(capsys, *argv):
@@ -177,6 +177,10 @@ def test_mc_config_errors(capsys, tmp_path):
         tmp_path / "words.json", mu_s=1.0, g=0.5, d=0.1, n_photons="many", seed=0
     )
     assert run(capsys, "mc", "--config", words, "--out", str(tmp_path / "w"))[0] == 2
+    empty = write_mc_config(
+        tmp_path / "empty.json", mu_s=1.0, g=0.5, eta_grid=[], n_photons=10, seed=0
+    )
+    assert run(capsys, "mc", "--config", empty, "--out", str(tmp_path / "e"))[0] == 2
 
 
 # --------------------------------------------------------------- propagate
@@ -254,12 +258,20 @@ def test_propagate_file_errors(capsys, tmp_path):
     fileio.density_to_json(bell_state(), state)
     numbers = tmp_path / "numbers.json"
     fileio.write_json({"items": [1, 2]}, numbers)
-    code, _, err = run(
-        capsys, "propagate", "--state", str(state), "--channel", str(numbers),
-        "--out", str(tmp_path / "o"),
-    )
-    assert code == 2
-    assert "Traceback" not in err
+    bad_state = tmp_path / "badstate.json"
+    fileio.write_json({"dim": 4, "re": {"a": 1}, "im": np.zeros((4, 4)).tolist()},
+                      bad_state)
+    cases = [(state, numbers), (bad_state, channel)]
+    for name, items in MALFORMED_KRAUS_ITEMS.items():
+        cases.append((state, tmp_path / f"{name}.json"))
+        fileio.write_json({"items": items}, cases[-1][1])
+    for state_path, channel_path in cases:
+        code, _, err = run(
+            capsys, "propagate", "--state", str(state_path),
+            "--channel", str(channel_path), "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert "Traceback" not in err
 
 
 # -------------------------------------------------------------------- tomo

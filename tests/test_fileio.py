@@ -17,7 +17,12 @@ from qpol2 import (
     reconstruct_image,
     simulate_counts,
 )
-from conftest import K_BELL, random_cptp_ensemble, random_density
+from conftest import (
+    K_BELL,
+    MALFORMED_KRAUS_ITEMS,
+    random_cptp_ensemble,
+    random_density,
+)
 
 
 def test_write_json_injects_schema(tmp_path):
@@ -90,6 +95,16 @@ def test_kraus_json_validation(tmp_path):
     fileio.write_json({"items": [1, 2]}, numbers)
     with pytest.raises(FormatError):
         fileio.kraus_from_json(numbers)
+    for name, items in MALFORMED_KRAUS_ITEMS.items():
+        path = tmp_path / f"{name}.json"
+        fileio.write_json({"items": items}, path)
+        with pytest.raises(FormatError):
+            fileio.kraus_from_json(path)
+    bad_state = tmp_path / "badstate.json"
+    fileio.write_json({"dim": 2, "re": {"a": 1}, "im": np.zeros((2, 2)).tolist()},
+                      bad_state)
+    with pytest.raises(FormatError):
+        fileio.density_from_json(bad_state)
     # A structurally valid file with unphysical weights fails ensemble checks.
     bad_sum = tmp_path / "badsum.json"
     fileio.write_json(
