@@ -51,6 +51,8 @@ class KrausEnsemble:
         j = np.asarray(self.jones, dtype=complex)
         if w.ndim != 1 or j.shape != (w.size, 2, 2):
             raise ChannelError("ensemble needs weights (K,) and jones (K, 2, 2)")
+        if w.size == 0:
+            raise ChannelError("ensemble needs at least one path")
         if not (np.isfinite(w).all() and np.isfinite(j).all()):
             raise ChannelError("ensemble weights and Jones entries must be finite")
         if w.min() < -1e-12:

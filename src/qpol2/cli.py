@@ -28,7 +28,7 @@ from .exceptions import FormatError, QPolError, UnderdeterminedFitError
 from .fitting import fit_diagonal, fit_general, reconstruct_image
 from .metrics import metrics_report
 from .polarization import bell_state, check_density, correlation_tensor
-from .scatter import Medium, effective_thickness, simulate
+from .scatter import Medium, _seed_key, effective_thickness, simulate
 from .tomography import fidelity, reconstruct, simulate_counts
 
 __all__ = ["main"]
@@ -109,7 +109,7 @@ def _cmd_mc(args) -> int:
         g = float(cfg["g"])
         acceptance = math.radians(float(cfg.get("acceptance_deg", 5.0)))
         n_photons = int(cfg["n_photons"])
-        seed = int(cfg["seed"])
+        seed = _seed_key(cfg["seed"])
         if "d" in cfg:
             media = [("", Medium(mu_s, g, float(cfg["d"]), acceptance))]
         else:

@@ -88,13 +88,29 @@ def density_from_json(path) -> np.ndarray:
     return rho
 
 
+# One ensemble item exactly as json.dump(indent=1) lays it out: w, re, im.
+_KRAUS_ITEM = (
+    '  {\n   "w": %r,\n'
+    '   "re": [\n    [\n     %r,\n     %r\n    ],\n    [\n     %r,\n     %r\n    ]\n   ],\n'
+    '   "im": [\n    [\n     %r,\n     %r\n    ],\n    [\n     %r,\n     %r\n    ]\n   ]\n  }'
+)
+
+
 def kraus_to_json(ch: KrausEnsemble, path):
-    items = []
-    for w, j in zip(ch.weights, ch.jones):
-        item = {"w": float(w)}
-        item.update(_matrix_payload(j))
-        items.append(item)
-    write_json({"items": items}, path)
+    """Write the ensemble item by item; the bytes equal write_json's output.
+
+    Rows become Python floats 1024 at a time, so no list of every item is built.
+    """
+    rows = np.column_stack([ch.weights, ch.jones.real.reshape(-1, 4),
+                            ch.jones.imag.reshape(-1, 4)])
+    with open(path, "w") as fh:
+        fh.write(f'{{\n "schema": "{SCHEMA}",\n "items": [\n')
+        sep = ""
+        for start in range(0, len(rows), 1024):
+            for row in rows[start:start + 1024].tolist():
+                fh.write(sep + _KRAUS_ITEM % tuple(row))
+                sep = ",\n"
+        fh.write("\n ]\n}\n")
 
 
 def kraus_from_json(path) -> KrausEnsemble:
@@ -102,16 +118,18 @@ def kraus_from_json(path) -> KrausEnsemble:
     items = doc.get("items")
     if not isinstance(items, list) or not items:
         raise FormatError(f"{path}: ensemble needs a nonempty 'items' list")
-    weights = []
-    jones = []
-    for item in items:
-        if not isinstance(item, dict) or not isinstance(item.get("w"), (int, float)):
-            raise FormatError(f"{path}: ensemble item is not an object with a numeric weight")
-        weights.append(float(item["w"]))
-        jones.append(_matrix_from_payload(item))
-        if jones[-1].shape != (2, 2):
-            raise FormatError(f"{path}: Jones matrices must be 2x2")
-    return KrausEnsemble(np.array(weights), np.array(jones))
+    if not all(isinstance(item, dict) and isinstance(item.get("w"), (int, float))
+               for item in items):
+        raise FormatError(f"{path}: ensemble item is not an object with a numeric weight")
+    try:
+        weights = np.array([item["w"] for item in items], dtype=float)
+        re = np.array([item["re"] for item in items], dtype=float)
+        im = np.array([item["im"] for item in items], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed matrix payload ({exc})") from exc
+    if re.shape != (len(items), 2, 2) or im.shape != re.shape:
+        raise FormatError(f"{path}: Jones matrices must be 2x2")
+    return KrausEnsemble(weights, re + 1j * im)
 
 
 def write_matrix_csv(m, path):

@@ -5,13 +5,25 @@ coefficient mu_s and Henyey-Greenstein anisotropy g.  Each trajectory
 accumulates a Jones matrix from per-event Rayleigh dipole amplitude
 matrices S(theta) = diag(cos theta, 1) sandwiched between reference-frame
 rotations; transmitted paths within the detection cone form the channel's
-Kraus ensemble.  Per-photon counter-based RNG streams keyed on
-(seed, photon index) make runs reproducible independent of any
-parallel execution order.
+Kraus ensemble.
+
+One array kernel serves ``simulate`` and ``trace_paths``.  It runs the
+photons in chunks of ``_CHUNK`` and advances every live photon of a chunk
+by one scattering event per iteration.  Photon i draws from its own
+Philox4x64-10 stream keyed (seed, i), the stream of numpy's
+``Philox(key=[seed, i])`` computed here on uint64 arrays; event k uses
+draws 3k (step length), 3k + 1 (cos theta) and 3k + 2 (azimuth).  A
+photon's path therefore depends only on (seed, i): runs are bitwise
+reproducible, and a batch prefix does not depend on the batch size.  Each
+photon ends in one of four ways: accepted (transmitted inside the
+detection cone), outside the cone, backscattered, or cut off after
+``_MAX_EVENTS`` events.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +43,16 @@ __all__ = [
 
 _BELL_TENSOR = np.diag([1.0, -1.0, 1.0, 1.0])
 _MAX_EVENTS = 1_000_000
+_CHUNK = 1 << 13            # photons per kernel chunk; bounds the working set
+_BLOCK_BUDGET = 1 << 13     # live photons x Philox blocks per draw refill
+
+# termination reasons
+_ACCEPTED, _OUTSIDE_CONE, _BACKSCATTERED, _TRUNCATED = range(4)
+
+# Philox4x64-10 multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -87,103 +109,184 @@ def sample_hg(g, xi):
     return min(1.0, max(-1.0, ct))
 
 
-def _trace_photon(medium: Medium, seed, index):
-    """Transport one photon; returns (transmitted, jones, exit_dir, n_events).
+def _seed_key(seed) -> int:
+    """Return ``seed`` as the first Philox key word, an integer in [0, 2**64)."""
+    try:
+        key = operator.index(seed)
+    except TypeError as exc:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from exc
+    if not 0 <= key < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
+    return key
 
-    The Jones matrix of a transmitted photon is expressed in the global
-    H/V frame of the exit beam; otherwise it is left in the last local
-    frame (only its singular values are meaningful then).
+
+def _mulhilo(m, x):
+    """High and low 64-bit words of the product of the constant ``m`` and ``x``."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> 32
+    lh, hl = x_lo * m_hi, x_hi * m_lo
+    mid = ((x_lo * m_lo) >> 32) + (lh & _LOW32) + (hl & _LOW32)
+    return x_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), x * np.uint64(m)
+
+
+def _philox_uniform(seed, photons, first_block, n_blocks):
+    """Uniform draws from the Philox4x64-10 streams keyed (seed, photon index).
+
+    Returns shape (4 n_blocks, len(photons)): row r holds draw
+    4 first_block + r of each photon's stream, bitwise equal to the draws of
+    ``np.random.Generator(np.random.Philox(key=[seed, i])).random()``.
+    Block b is the Philox output for the counter (b + 1, 0, 0, 0).
     """
-    rng = np.random.Generator(np.random.Philox(key=[seed, index]))
-    rand = rng.random
-    mu_s = medium.mu_s
-    g = medium.g
-    d = medium.d
+    shape = (n_blocks, photons.size)
+    c0 = np.empty(shape, dtype=np.uint64)
+    c0[:] = np.arange(first_block + 1, first_block + 1 + n_blocks, dtype=np.uint64)[:, None]
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    k0, k1 = seed, photons.astype(np.uint64)
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+        k0 = (k0 + _PHILOX_W[0]) % 2**64
+        k1 = k1 + np.uint64(_PHILOX_W[1])
+    words = np.stack([c0, c1, c2, c3], axis=1).reshape(4 * n_blocks, photons.size)
+    return (words >> 11).astype(float) * 2.0**-53
+
+
+class _Transport(NamedTuple):
+    """Per-photon outcome of one chunk of the transport kernel, in launch order."""
+
+    transmitted: np.ndarray  # (N,) bool, reason == _ACCEPTED
+    jones: np.ndarray        # (N, 2, 2) real Jones matrices
+    direction: np.ndarray    # (N, 3) exit (or last) propagation direction
+    events: np.ndarray       # (N,) scattering events
+    reason: np.ndarray       # (N,) int8 termination reason
+
+
+def _transport(medium: Medium, n_photons, seed):
+    """Trace ``n_photons`` photons; yields one _Transport per chunk of ``_CHUNK``.
+
+    Chunking bounds the working set independently of ``n_photons``.
+    """
+    seed = _seed_key(seed)
+    n = int(n_photons)
+    if n < 0:
+        raise ValueError("n_photons must be nonnegative")
+    for start in range(0, n, _CHUNK):
+        yield _trace_chunk(medium, seed, np.arange(start, min(n, start + _CHUNK)))
+
+
+def _trace_chunk(medium: Medium, seed, photons) -> _Transport:
+    """Advance every live photon of a chunk one scattering event per iteration.
+
+    All live photons sit at the same event k and use draws 3k (step),
+    3k + 1 (cos theta) and 3k + 2 (phi) of their streams.  ``state`` holds
+    one column per live photon (rows: direction u, frame e1, e2, Jones
+    entries j00 j01 j10 j11, depth z); ``draws`` row r is draw
+    ``first + r``.  Terminated photons are written to the outputs and
+    dropped from both arrays.
+    """
+    mu_s, g, d = medium.mu_s, medium.g, medium.d
     cos_acc = math.cos(medium.acceptance_half_angle)
+    max_events = _MAX_EVENTS
+    last_block = (3 * max_events - 1) // 4
+    n = photons.size
+    out = (np.empty((n, 4)), np.empty((n, 3)), np.empty(n, dtype=np.int64),
+           np.empty(n, dtype=np.int8))
+    offset = photons[0]
+    state = np.zeros((14, n))
+    state[[2, 3, 7, 9, 12]] = 1.0  # u = +z, e1 = x, e2 = y, J = identity
+    draws = np.empty((0, n))
+    first = 0
+    k = 0
+    while photons.size and k < max_events:
+        if 3 * k + 2 >= first + len(draws):
+            # Few live photons draw blocks for many events at once.
+            block = (first + len(draws)) // 4
+            n_blocks = min(max(1, _BLOCK_BUDGET // photons.size), last_block + 1 - block)
+            fresh = _philox_uniform(seed, photons, block, n_blocks)
+            draws = np.concatenate([draws[3 * k - first:], fresh])
+            first = 3 * k
+        r = 3 * k - first
+        uz = state[2]
+        z_new = state[13] + uz * (-np.log(1.0 - draws[r]) / mu_s)
+        forward = (uz > 0.0) & (z_new >= d)
+        done = forward | ((uz < 0.0) & (z_new <= 0.0))
+        if done.any():
+            why = np.where(forward, np.where(uz < cos_acc, _OUTSIDE_CONE, _ACCEPTED),
+                           _BACKSCATTERED)
+            _finish(out, photons[done] - offset, state[:, done], why[done], k)
+            keep = ~done
+            state, draws, photons, z_new = state[:, keep], draws[:, keep], photons[keep], z_new[keep]
+        state[13] = z_new
 
-    # direction u, transverse frame (e1, e2), real Jones entries
-    ux, uy, uz = 0.0, 0.0, 1.0
-    e1x, e1y, e1z = 1.0, 0.0, 0.0
-    e2x, e2y, e2z = 0.0, 1.0, 0.0
-    j00, j01, j10, j11 = 1.0, 0.0, 0.0, 1.0
-    z = 0.0
-    events = 0
+        ct = sample_hg(g, draws[r + 1])
+        st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+        phi = 2.0 * math.pi * draws[r + 2]
+        cp = np.cos(phi)
+        sp = np.sin(phi)
 
-    while events < _MAX_EVENTS:
-        step = -math.log(1.0 - rand()) / mu_s
-        z_new = z + uz * step
-        if uz > 0.0 and z_new >= d:
-            if uz < cos_acc:
-                return False, (j00, j01, j10, j11), (ux, uy, uz), events
-            # rotate the local frame onto the global H/V axes of the exit beam
-            hx, hy, hz = 1.0 - ux * ux, -ux * uy, -ux * uz
-            norm = math.sqrt(hx * hx + hy * hy + hz * hz)
-            hx, hy, hz = hx / norm, hy / norm, hz / norm
-            vx = uy * hz - uz * hy
-            vy = uz * hx - ux * hz
-            vz = ux * hy - uy * hx
-            t00 = e1x * hx + e1y * hy + e1z * hz
-            t01 = e2x * hx + e2y * hy + e2z * hz
-            t10 = e1x * vx + e1y * vy + e1z * vz
-            t11 = e2x * vx + e2y * vy + e2z * vz
-            out = (
-                t00 * j00 + t01 * j10,
-                t00 * j01 + t01 * j11,
-                t10 * j00 + t11 * j10,
-                t10 * j01 + t11 * j11,
-            )
-            return True, out, (ux, uy, uz), events
-        if uz < 0.0 and z_new <= 0.0:
-            return False, (j00, j01, j10, j11), (ux, uy, uz), events
-        z = z_new
-
-        ct = sample_hg(g, rand())
-        st = math.sqrt(max(0.0, 1.0 - ct * ct))
-        phi = 2.0 * math.pi * rand()
-        cp = math.cos(phi)
-        sp = math.sin(phi)
-
-        # J <- S(theta) R(phi) J with S = diag(cos theta, 1)
-        r00 = cp * j00 + sp * j10
-        r01 = cp * j01 + sp * j11
-        r10 = -sp * j00 + cp * j10
-        r11 = -sp * j01 + cp * j11
-        j00, j01, j10, j11 = ct * r00, ct * r01, r10, r11
-
-        # renormalize so the largest singular value is 1
-        q = j00 * j00 + j01 * j01 + j10 * j10 + j11 * j11
-        det = j00 * j11 - j01 * j10
-        smax = math.sqrt(0.5 * (q + math.sqrt(max(0.0, q * q - 4.0 * det * det))))
-        j00, j01, j10, j11 = j00 / smax, j01 / smax, j10 / smax, j11 / smax
+        # J <- S(theta) R(phi) J with S = diag(cos theta, 1), renormalized so
+        # that the largest singular value is 1
+        top = ct * (cp * state[9:11] + sp * state[11:13])
+        bot = -sp * state[9:11] + cp * state[11:13]
+        q = top[0] * top[0] + top[1] * top[1] + bot[0] * bot[0] + bot[1] * bot[1]
+        det = top[0] * bot[1] - top[1] * bot[0]
+        smax = np.sqrt(0.5 * (q + np.sqrt(np.maximum(0.0, q * q - 4.0 * det * det))))
+        state[9:11] = top / smax
+        state[11:13] = bot / smax
 
         # rotate the propagation frame into the new direction
-        nux = st * cp * e1x + st * sp * e2x + ct * ux
-        nuy = st * cp * e1y + st * sp * e2y + ct * uy
-        nuz = st * cp * e1z + st * sp * e2z + ct * uz
-        ne1x = ct * cp * e1x + ct * sp * e2x - st * ux
-        ne1y = ct * cp * e1y + ct * sp * e2y - st * uy
-        ne1z = ct * cp * e1z + ct * sp * e2z - st * uz
-        e2x, e2y, e2z = -sp * e1x + cp * e2x, -sp * e1y + cp * e2y, -sp * e1z + cp * e2z
-        ux, uy, uz = nux, nuy, nuz
-        e1x, e1y, e1z = ne1x, ne1y, ne1z
-        events += 1
-    return False, (j00, j01, j10, j11), (ux, uy, uz), events
+        u, e1, e2 = state[0:3], state[3:6], state[6:9]
+        new_u = st * cp * e1 + st * sp * e2 + ct * u
+        new_e1 = ct * cp * e1 + ct * sp * e2 - st * u
+        new_e2 = -sp * e1 + cp * e2
+        state[0:3], state[3:6], state[6:9] = new_u, new_e1, new_e2
+        k += 1
+    _finish(out, photons - offset, state, np.full(photons.size, _TRUNCATED, dtype=np.int8), k)
+    jones, direction, events, reason = out
+    return _Transport(reason == _ACCEPTED, jones.reshape(n, 2, 2), direction, events, reason)
+
+
+def _finish(out, rows, state, reason, events):
+    """Write terminated photons to ``out`` rows; accepted ones in the exit beam's H/V frame."""
+    jones, direction, n_events, reasons = out
+    j = state[9:13]
+    accepted = reason == _ACCEPTED
+    if accepted.any():
+        j = j.copy()
+        j[:, accepted] = _exit_jones(state[:, accepted])
+    jones[rows] = j.T
+    direction[rows] = state[0:3].T
+    n_events[rows] = events
+    reasons[rows] = reason
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _exit_jones(state):
+    """Rotate the local frame (e1, e2) of exiting photons onto the global H/V axes."""
+    u, e1, e2 = state[0:3], state[3:6], state[6:9]
+    ux = u[0]
+    h = np.array([1.0 - ux * ux, -ux * u[1], -ux * u[2]])
+    h /= np.sqrt(_dot(h, h))
+    v = np.cross(u, h, axis=0)
+    top, bot = state[9:11], state[11:13]
+    return np.concatenate([_dot(e1, h) * top + _dot(e2, h) * bot,
+                           _dot(e1, v) * top + _dot(e2, v) * bot])
 
 
 def trace_paths(medium: Medium, n_photons, seed):
-    """Trace every photon and return the full list of PathRecord objects."""
-    records = []
-    for i in range(int(n_photons)):
-        ok, jones, direction, events = _trace_photon(medium, seed, i)
-        records.append(
-            PathRecord(
-                jones=np.array(jones, dtype=complex).reshape(2, 2),
-                exit_direction=np.array(direction),
-                n_events=events,
-                transmitted=ok,
-            )
-        )
-    return records
+    """Trace every photon and return one PathRecord per launched photon.
+
+    The Jones matrix of a transmitted photon is expressed in the global H/V
+    frame of the exit beam; otherwise it is left in the last local frame
+    (only its singular values are meaningful then).
+    """
+    return [record for t in _transport(medium, n_photons, seed)
+            for record in map(PathRecord, t.jones.astype(complex), t.direction,
+                              t.events.tolist(), t.transmitted.tolist())]
 
 
 def simulate(medium: Medium, n_photons, seed) -> KrausEnsemble:
@@ -191,20 +294,15 @@ def simulate(medium: Medium, n_photons, seed) -> KrausEnsemble:
 
     Equal weights 1/N_transmitted over the paths accepted by the detection
     cone, each Jones matrix in the global H/V frame.  Deterministic for a
-    given (medium, n_photons, seed).
+    given (medium, n_photons, seed); ``seed`` is an integer in [0, 2**64).
     """
     if n_photons < 1:
         raise ValueError("n_photons must be at least 1")
-    jones = []
-    for i in range(int(n_photons)):
-        ok, j, _, _ = _trace_photon(medium, seed, i)
-        if ok:
-            jones.append(j)
-    if not jones:
+    jones = np.concatenate([t.jones[t.transmitted] for t in _transport(medium, n_photons, seed)],
+                           dtype=complex)
+    if not len(jones):
         raise NoTransmissionError("no transmission within acceptance")
-    stack = np.array(jones, dtype=complex).reshape(-1, 2, 2)
-    weights = np.full(len(jones), 1.0 / len(jones))
-    return KrausEnsemble(weights, stack)
+    return KrausEnsemble(np.full(len(jones), 1.0 / len(jones)), jones)
 
 
 def mueller_vs_eta(medium_template: Medium, eta_grid, n_photons, seed):

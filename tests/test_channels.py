@@ -44,6 +44,8 @@ def test_ensemble_validation():
         KrausEnsemble(np.array([np.nan]), np.eye(2)[None])  # NaN passes < and >
     with pytest.raises(ChannelError):
         KrausEnsemble(np.array([1.0]), np.full((1, 2, 2), np.nan))
+    with pytest.raises(ChannelError):
+        KrausEnsemble(np.zeros(0), np.zeros((0, 2, 2)))  # no paths
 
 
 def test_identity_ensemble_kraus():

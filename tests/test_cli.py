@@ -181,6 +181,11 @@ def test_mc_config_errors(capsys, tmp_path):
         tmp_path / "empty.json", mu_s=1.0, g=0.5, eta_grid=[], n_photons=10, seed=0
     )
     assert run(capsys, "mc", "--config", empty, "--out", str(tmp_path / "e"))[0] == 2
+    for i, seed in enumerate([-1, 1.5, 2**64]):
+        bad_seed = write_mc_config(
+            tmp_path / f"seed{i}.json", mu_s=1.0, g=0.5, d=0.1, n_photons=10, seed=seed
+        )
+        assert run(capsys, "mc", "--config", bad_seed, "--out", str(tmp_path / "s"))[0] == 2
 
 
 # --------------------------------------------------------------- propagate

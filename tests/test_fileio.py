@@ -79,6 +79,26 @@ def test_kraus_json_roundtrip(tmp_path):
         assert np.array_equal(loaded.jones, ch.jones)
 
 
+def test_kraus_json_bytes_match_write_json(tmp_path):
+    rng = np.random.default_rng(4)
+    jones = rng.normal(size=(40, 2, 2)) + 1j * rng.normal(size=(40, 2, 2))
+    jones[0] = -0.0
+    jones[1, 0, 0] = 1e-300
+    jones /= 10 * np.abs(jones).max()
+    weights = rng.uniform(size=40)
+    cases = [KrausEnsemble.identity(), KrausEnsemble(weights / weights.sum(), jones)]
+    for i, ch in enumerate(cases):
+        fast, ref = tmp_path / f"fast{i}.json", tmp_path / f"ref{i}.json"
+        fileio.kraus_to_json(ch, fast)
+        items = [{"w": float(w), "re": j.real.tolist(), "im": j.imag.tolist()}
+                 for w, j in zip(ch.weights, ch.jones)]
+        fileio.write_json({"items": items}, ref)
+        assert fast.read_bytes() == ref.read_bytes()
+        loaded = fileio.kraus_from_json(fast)
+        assert loaded.weights.tobytes() == ch.weights.tobytes()
+        assert loaded.jones.tobytes() == ch.jones.tobytes()
+
+
 def test_kraus_json_validation(tmp_path):
     empty = tmp_path / "empty.json"
     fileio.write_json({"items": []}, empty)

@@ -1,11 +1,13 @@
 """Polarized Monte Carlo photon transport through a scattering slab."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import qpol2
+import scalar_transport
 from qpol2 import (
     KrausEnsemble,
     Medium,
@@ -18,6 +20,7 @@ from qpol2 import (
     simulate,
     trace_paths,
 )
+from qpol2 import scatter
 
 WIDE = math.radians(45.0)
 
@@ -141,6 +144,9 @@ def test_simulate_validates_photon_count():
     med = Medium(mu_s=1.0, g=0.0, d=0.1)
     with pytest.raises(ValueError):
         simulate(med, 0, seed=0)
+    with pytest.raises(ValueError):
+        trace_paths(med, -1, seed=0)
+    assert trace_paths(med, 0, seed=0) == []
 
 
 def test_depolarization_grows_with_thickness():
@@ -170,3 +176,80 @@ def test_mueller_vs_eta_validates_grid():
         mueller_vs_eta(med, [0.2, 0.1], 100, seed=0)
     with pytest.raises(ValueError):
         mueller_vs_eta(med, [0.1, 0.1], 100, seed=0)
+
+
+# (medium, photons, seed, _MAX_EVENTS override or None, _CHUNK override or None)
+ORACLE_CASES = {
+    "thin": (Medium(mu_s=10.0, g=0.9, d=0.025, acceptance_half_angle=WIDE), 3000, 7,
+             None, None),
+    "thick": (Medium(mu_s=10.0, g=0.9, d=0.26, acceptance_half_angle=WIDE), 3000, 7,
+              None, 700),
+    "isotropic": (Medium(mu_s=2.0, g=0.0, d=1.0, acceptance_half_angle=WIDE), 1000, 3,
+                  None, None),
+    "zero_thickness": (Medium(mu_s=10.0, g=0.9, d=0.0), 300, 1, None, None),
+    "diffusive": (Medium(mu_s=50.0, g=0.0, d=1.0, acceptance_half_angle=0.01), 100, 0,
+                  None, None),
+    "truncated": (Medium(mu_s=10.0, g=0.9, d=0.26, acceptance_half_angle=WIDE), 1000, 5,
+                  3, None),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_kernel_matches_scalar_reference(monkeypatch, case):
+    medium, n, seed, max_events, chunk = ORACLE_CASES[case]
+    if max_events is not None:
+        monkeypatch.setattr(scatter, "_MAX_EVENTS", max_events)
+        monkeypatch.setattr(scalar_transport, "_MAX_EVENTS", max_events)
+    if chunk is not None:
+        monkeypatch.setattr(scatter, "_CHUNK", chunk)
+    out = scatter._Transport(*map(np.concatenate, zip(*scatter._transport(medium, n, seed))))
+    ok, jones, direction, events = zip(
+        *(scalar_transport._trace_photon(medium, seed, i) for i in range(n)))
+    assert np.array_equal(out.transmitted, ok)
+    assert np.array_equal(out.events, events)
+    assert np.array_equal(out.direction, direction)
+    assert np.abs(out.jones.reshape(n, 4) - np.array(jones)).max() <= 1e-12
+
+    # The termination reasons partition the launched photons.
+    reason = out.reason
+    assert reason.shape == (n,) and set(np.unique(reason)) <= set(range(4))
+    uz = out.direction[:, 2]
+    cos_acc = math.cos(medium.acceptance_half_angle)
+    accepted = reason == scatter._ACCEPTED
+    outside = reason == scatter._OUTSIDE_CONE
+    assert np.array_equal(accepted, out.transmitted)
+    assert np.all(uz[accepted] >= cos_acc)
+    assert np.all((uz[outside] > 0) & (uz[outside] < cos_acc))
+    assert np.all(uz[reason == scatter._BACKSCATTERED] < 0)
+    truncated = reason == scatter._TRUNCATED
+    assert np.array_equal(truncated, out.events == scatter._MAX_EVENTS)
+    assert truncated.any() == (max_events is not None)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5, 2**63 - 1])
+def test_philox_port_matches_numpy(seed):
+    photons = np.array([0, 1, 2, 999, 2**40])
+    draws = scatter._philox_uniform(seed, photons, 0, 3)
+    for col, i in enumerate(photons):
+        rng = np.random.Generator(np.random.Philox(key=[seed, int(i)]))
+        assert np.array_equal(draws[:, col], rng.random(12))
+    assert np.array_equal(scatter._philox_uniform(seed, photons, 2, 1), draws[8:])
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2**64, "7", None])
+def test_seed_outside_domain_raises(seed):
+    med = Medium(mu_s=10.0, g=0.9, d=0.05, acceptance_half_angle=WIDE)
+    with pytest.raises(ValueError):
+        simulate(med, 10, seed)
+    with pytest.raises(ValueError):
+        trace_paths(med, 10, seed)
+
+
+def test_seed_domain_edges_are_accepted():
+    med = Medium(mu_s=10.0, g=0.9, d=0.05, acceptance_half_angle=WIDE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = trace_paths(med, 20, 2**64 - 1)
+        top_np = trace_paths(med, 20, np.uint64(2**64 - 1))
+        simulate(med, 20, 0)
+    assert all(np.array_equal(a.jones, b.jones) for a, b in zip(top, top_np))
