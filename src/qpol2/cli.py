@@ -42,6 +42,14 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
+def _seed(text) -> int:
+    """``--seed`` argument: an integer in [0, 2**64), as in run configs."""
+    try:
+        return _seed_key(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _metric_values(rho_out, rho_in):
     rep = metrics_report(rho_out, rho_in)
     return [rep.concurrence, rep.purity, rep.entropy,
@@ -225,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tomo", help="simulate and invert two-photon tomography")
     p.add_argument("--state", required=True, help="density-matrix JSON")
     p.add_argument("--pairs", type=int, default=10_000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--noisy", action="store_true", help="Poisson shot noise")
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=_cmd_tomo)
@@ -237,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output tensor (CSV) or state (JSON); repeatable")
     p.add_argument("--model", choices=["isotropic", "diagonal", "general"],
                    default="diagonal")
-    p.add_argument("--seed", type=int, help="multistart seed (general model)")
+    p.add_argument("--seed", type=_seed, help="multistart seed (general model)")
     p.add_argument("--out", help="write the fit result JSON here")
     p.set_defaults(func=_cmd_fit)
 

@@ -4,14 +4,13 @@ Implements nonlinear least-squares fits of the congruence law
 K_out = M K_in M^T for diagonal depolarizers (isotropic or anisotropic),
 general 4x4 Mueller matrices from multiple input states, stabilizer
 diagnostics quantifying when such fits are identifiable, and per-pixel
-image reconstruction.
+image reconstruction.  One batched projected Levenberg-Marquardt solver
+runs every fit.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .exceptions import UnderdeterminedFitError
 
@@ -36,9 +35,10 @@ class FitResult:
 
     ``params`` holds 1 (isotropic), 3 (diagonal), or 15 (general, row-major
     without M00) numbers; M00 is always fixed to 1.  ``iterations`` counts
-    solver steps for the diagonal models and objective evaluations for the
-    general one.  ``converged`` means the optimizer met a tolerance and,
-    when a residual tolerance was configured, the residual is below it.
+    solver steps for every model; for the general model it is the sum over
+    all multistarts.  ``converged`` means the solver met a tolerance within
+    its step budget and, when a residual tolerance was configured, the
+    residual is below it.
     """
 
     model: str
@@ -55,9 +55,7 @@ class FitResult:
         elif self.model == "diagonal":
             m[1, 1], m[2, 2], m[3, 3] = self.params
         elif self.model == "general":
-            m = np.empty((4, 4))
-            m.flat[0] = 1.0
-            m.flat[1:] = self.params
+            m = _general_muellers(self.params[None])[0]
         else:
             raise ValueError(f"unknown model {self.model!r}")
         return m
@@ -133,17 +131,63 @@ def _diagonal_residual(k_in, k_out, x):
     return v, r, (r * r).sum(axis=2).sum(axis=1)
 
 
+def _projected_lm(x, system, lo, max_steps, floor, accel=None):
+    """Refine a batch of box-constrained least-squares problems in place.
+
+    Row p of ``x`` (P, n) is the start of problem p, whose parameters lie in
+    [lo, 1].  ``system(x, rows)`` returns the costs |r|^2, the gradients
+    J^T r and the Hessians at points x of the problems ``rows``;
+    ``system(x, rows, derivatives=False)`` returns the costs alone.
+    Projected Levenberg-Marquardt steps on the box (Kanzow, Yamashita &
+    Fukushima, J. Comput. Appl. Math. 172, 375, 2004) refine each problem
+    until its step or first-order cost change falls to ``_FIT_TOL`` or it
+    has taken ``max_steps`` steps; ``floor`` bounds the damping from below.
+    ``accel(x, step, rows)``, when given, returns J^T times the second
+    directional derivative of r along ``step``, and each step then takes the
+    geodesic acceleration (Transtrum & Sethna, arXiv:1201.5885).  Returns
+    step counts and converged flags.
+    """
+    damping = np.full(len(x), 1e-3)
+    steps = np.zeros(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
+    eye = np.eye(x.shape[1])
+    for _ in range(max_steps):
+        xs, lam = x[live], damping[live]
+        cost, grad, hess = system(xs, live)
+        # A parameter on a bound whose gradient points out of the box stays put.
+        free = ~(((xs <= lo) & (grad > 0)) | ((xs >= 1) & (grad < 0)))
+        lhs = hess * (free[:, :, None] & free[:, None, :]) + lam[:, None, None] * eye
+        step = np.linalg.solve(lhs, -np.where(free, grad, 0.0)[:, :, None])[:, :, 0]
+        if accel is not None:
+            curve = np.where(free, accel(xs, step, live), 0.0)
+            step -= 0.5 * np.linalg.solve(lhs, curve[:, :, None])[:, :, 0]
+        trial = np.clip(xs + step, lo, 1)
+        better = system(trial, live, derivatives=False) <= cost
+        x[live[better]] = trial[better]
+        # The floor keeps lhs invertible when a parameter does not act on r.
+        damping[live] = np.where(better, np.maximum(lam / 10, floor), lam * 10)
+        # |grad . step| stays measurable where the cost no longer resolves a step.
+        moved = trial - xs
+        done = ((np.abs((grad * moved).sum(axis=1)) <= _FIT_TOL * cost)
+                | (np.abs(moved).max(axis=1) <= _FIT_TOL))
+        steps[live] += 1
+        converged[live[done]] = True
+        live = live[~done]
+        if not live.size:
+            break
+    return steps, converged
+
+
 def _solve_diagonal(k_in, k_out, model):
     """Fit M = diag(1, m) to K_out = M K_in M^T for a stack k_out (P, 4, 4).
 
     The start m_a = sqrt(K_out,aa / K_in,aa), clipped to [0, 1] and 0.5 where
     K_in,aa carries no signal, is the exact optimum for a diagonal k_in.
-    Projected Levenberg-Marquardt steps on the box (Kanzow, Yamashita &
-    Fukushima, J. Comput. Appl. Math. 172, 375, 2004) refine each pixel
-    until its step or first-order cost change falls to ``_FIT_TOL``.  Sums
-    run over at most 4 terms in a fixed order, so a pixel's result does not
-    depend on its batch.  Returns parameters (P, 1 or 3), residual norms,
-    step counts and converged flags.
+    ``_projected_lm`` refines each pixel for at most 100 steps with the full
+    Hessian.  Sums run over at most 4 terms in a fixed order, so a pixel's
+    result does not depend on its batch.  Returns parameters (P, 1 or 3),
+    residual norms, step counts and converged flags.
     """
     if model not in ("diagonal", "isotropic"):
         raise ValueError("model must be 'diagonal' or 'isotropic'")
@@ -155,15 +199,12 @@ def _solve_diagonal(k_in, k_out, model):
         signal = signal.any(keepdims=True)
     ratio = out_diag / np.where(signal, k_diag, 1.0)
     x = np.where(signal, np.sqrt(np.clip(ratio, 0, 1)), 0.5)
+    k2 = k_in * k_in
 
-    damping = np.full(len(x), 1e-3)
-    steps = np.zeros(len(x), dtype=int)
-    converged = np.zeros(len(x), dtype=bool)
-    live = np.arange(len(x))
-    k2, eye = k_in * k_in, np.eye(x.shape[1])
-    for _ in range(100):  # a pixel still stepping after 100 steps has not converged
-        xs, ks, lam = x[live], k_out[live], damping[live]
-        v, r, cost = _diagonal_residual(k_in, ks, xs)
+    def system(xs, rows, derivatives=True):
+        v, r, cost = _diagonal_residual(k_in, k_out[rows], xs)
+        if not derivatives:
+            return cost
         # With the Jacobian dr_ij/dv_a = delta_ia v_j K_aj + delta_ja v_i K_ia
         # and W = r K, the gradient is (W + W^T) v and the Hessian is
         # v_a v_b (K_ab^2 + K_ba^2) + delta_ab sum_j v_j^2 (K_aj^2 + K_ja^2)
@@ -176,24 +217,9 @@ def _solve_diagonal(k_in, k_out, model):
         grad, hess = grad[:, 1:], hess[:, 1:, 1:]
         if isotropic:
             grad, hess = grad.sum(1, keepdims=True), hess.sum(2).sum(1)[:, None, None]
-        # A parameter on a bound whose gradient points out of the box stays put.
-        free = ~(((xs <= 0) & (grad > 0)) | ((xs >= 1) & (grad < 0)))
-        lhs = hess * (free[:, :, None] & free[:, None, :]) + lam[:, None, None] * eye
-        step = np.linalg.solve(lhs, -np.where(free, grad, 0.0)[:, :, None])[:, :, 0]
-        trial = np.clip(xs + step, 0, 1)
-        better = _diagonal_residual(k_in, ks, trial)[2] <= cost
-        x[live[better]] = trial[better]
-        # The floor keeps lhs invertible when a parameter does not act on r.
-        damping[live] = np.where(better, np.maximum(lam / 10, 1e-10), lam * 10)
-        # |grad . step| stays measurable where the cost no longer resolves a step.
-        moved = trial - xs
-        done = ((np.abs((grad * moved).sum(axis=1)) <= _FIT_TOL * cost)
-                | (np.abs(moved).max(axis=1) <= _FIT_TOL))
-        steps[live] += 1
-        converged[live[done]] = True
-        live = live[~done]
-        if not live.size:
-            break
+        return cost, grad, hess
+
+    steps, converged = _projected_lm(x, system, 0, 100, 1e-10)
     return x, np.sqrt(_diagonal_residual(k_in, k_out, x)[2]), steps, converged
 
 
@@ -211,36 +237,28 @@ def fit_diagonal(k_in, k_out, model="diagonal", residual_tol=None) -> FitResult:
     return FitResult(model, params[0], residual, int(steps[0]), converged)
 
 
-def _general_mueller(x) -> np.ndarray:
-    m = np.empty((4, 4))
-    m.flat[0] = 1.0
-    m.flat[1:] = x
-    return m
+def _general_muellers(x, m00=1.0) -> np.ndarray:
+    """Matrices (n, 4, 4) with entry 00 ``m00`` and the 15 others, row-major,
+    from the rows of x (n, 15)."""
+    return np.concatenate([np.full((len(x), 1), m00), x], axis=1).reshape(-1, 4, 4)
+
+
+def _congruence_residual(k_in, k_out, x):
+    """Mueller matrices M (n, 4, 4) of parameters x (n, 15), residuals
+    M K_in M^T - K_out (n, P, 4, 4) over the pair stacks k_in, k_out
+    (P, 4, 4), and their sums of squares."""
+    m = _general_muellers(x)
+    r = m[:, None] @ k_in @ m.transpose(0, 2, 1)[:, None] - k_out
+    return m, r, (r * r).sum(axis=(1, 2, 3))
 
 
 def _linearized_congruence(a, b) -> np.ndarray:
-    """16x16 matrix of X -> X A + B X^T on row-major vec(X): the linearized
-    congruence, whose entries are single products with 0 or 1."""
+    """Matrices (..., 16, 16) of X -> X A + B X^T on row-major vec(X) for
+    stacks a, b (..., 4, 4): the linearized congruence, whose entries are
+    single products with 0 or 1."""
     eye = np.eye(4)
-    return (np.einsum("ia,bj->ijab", eye, a)
-            + np.einsum("ib,ja->ijab", b, eye)).reshape(16, 16)
-
-
-def _general_system(pairs):
-    """Residual and Jacobian functions of the 15-parameter congruence fit."""
-
-    def fun(x):
-        m = _general_mueller(x)
-        return np.concatenate(
-            [(m @ k_in @ m.T - k_out).ravel() for k_in, k_out in pairs]
-        )
-
-    def jac(x):
-        m = _general_mueller(x)
-        return np.vstack([_linearized_congruence(k_in @ m.T, m @ k_in)[:, 1:]
-                          for k_in, _ in pairs])
-
-    return fun, jac
+    return (np.einsum("ia,...bj->...ijab", eye, a)
+            + np.einsum("...ib,ja->...ijab", b, eye)).reshape(*a.shape[:-2], 16, 16)
 
 
 _SIGN_FLIPS = [
@@ -255,63 +273,76 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
     """Fit a general Mueller matrix (M00 = 1, 15 free entries) to tensor pairs.
 
     Minimizes the stacked congruence residual over all pairs with entries
-    box-constrained to [-1, 1], using ``n_starts`` uniform multistarts (best
-    residual wins, ties broken by start order) and a Nelder-Mead fallback
-    when the least-squares runs do not report success.  A single pair whose
-    input tensor has a nonzero stabilizer algebra is rejected as
-    underdetermined.  When the data leave the sign of the diagonal block
-    free, the representative with M11 >= 0 is returned.
+    box-constrained to [-1, 1].  The ``n_starts`` uniform multistarts run
+    as one batch of the projected Levenberg-Marquardt solver, with the
+    exact Hessian, the exact geodesic acceleration and a budget of 1000
+    steps per start; the first start with the least residual wins.  A
+    single pair whose input tensor has a nonzero stabilizer algebra is
+    rejected as underdetermined.  When the data leave the sign of the
+    diagonal block free, the representative with M11 >= 0 is returned.
     """
     pairs = [_check_tensor_pair(k_in, k_out) for k_in, k_out in pairs]
     if not pairs:
         raise ValueError("at least one (k_in, k_out) pair is required")
+    if n_starts < 1:
+        raise ValueError("n_starts must be at least 1")
     if len(pairs) == 1:
         report = stabilizer_dimension([pairs[0][0]])
         if report.lie_algebra_dim > 0:
             raise UnderdeterminedFitError(
                 "underdetermined - see stabilizer report", report
             )
+    k_in = np.array([k for k, _ in pairs])
+    k_out = np.array([k for _, k in pairs])
 
-    fun, jac = _general_system(pairs)
-    rng = np.random.default_rng(seed)
-    best = None
-    nfev = 0
-    for _ in range(n_starts):
-        x0 = rng.uniform(-1.0, 1.0, size=15)
-        res = least_squares(
-            fun, x0, jac=jac, bounds=(-1.0, 1.0), method="trf",
-            xtol=_FIT_TOL, ftol=_FIT_TOL, gtol=_FIT_TOL,
-        )
-        nfev += int(res.nfev)
-        resid = float(np.linalg.norm(res.fun))
-        if best is None or resid < best[0]:
-            best = (resid, res.x.copy(), bool(res.success))
-    residual, x, success = best
+    def jacobian(m):
+        # d vec(r) / dx: the linearized congruence X -> X K M^T + M K X^T of
+        # every pair without the column of the fixed M00, stacked over pairs.
+        jac = _linearized_congruence(k_in @ m.transpose(0, 2, 1)[:, None], m[:, None] @ k_in)
+        return jac[..., 1:].reshape(len(m), -1, 15)
 
-    if not success:
-        # Derivative-free fallback from the best point found so far.
-        nm = minimize(
-            lambda z: float(np.sum(fun(z) ** 2)), x, method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 20000},
-        )
-        nfev += int(nm.nfev)
-        nm_resid = float(np.linalg.norm(fun(nm.x)))
-        if nm_resid < residual:
-            residual, x, success = nm_resid, np.clip(nm.x, -1, 1), bool(nm.success)
+    def system(x, rows, derivatives=True):
+        m, r, cost = _congruence_residual(k_in, k_out, x)
+        if not derivatives:
+            return cost
+        jac = jacobian(m)
+        grad = np.einsum("nqk,nq->nk", jac, r.reshape(len(x), -1))
+        # r is quadratic in M, d^2 r_ab / dM_ij dM_kl = delta_ai delta_bk K_jl
+        # + delta_ak delta_bi K_lj, so the Hessian J^T J + sum r d^2 r is
+        # exact.  Gauss-Newton alone (J^T J) crawls on large residuals.
+        second = np.einsum("npik,pjl->nijkl", r, k_in).reshape(len(x), 16, 16)
+        second = (second + second.transpose(0, 2, 1))[:, 1:, 1:]
+        return cost, grad, jac.transpose(0, 2, 1) @ jac + second
+
+    def accel(x, step, rows):
+        # The second derivative of r along V is 2 V K V^T.
+        v = _general_muellers(step, m00=0.0)
+        curve = 2 * v[:, None] @ k_in @ v.transpose(0, 2, 1)[:, None]
+        return np.einsum("nqk,nq->nk", jacobian(_general_muellers(x)),
+                         curve.reshape(len(x), -1))
+
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_starts, 15))
+    steps, converged = _projected_lm(x, system, -1.0, 1000, 1e-13, accel)
+    residuals = np.sqrt(_congruence_residual(k_in, k_out, x)[2])
+    best = int(np.argmin(residuals))
+    x, residual = x[best].copy(), float(residuals[best])
+
+    def norm(z):
+        return float(np.sqrt(_congruence_residual(k_in, k_out, z[None])[2][0]))
 
     # Resolve sign freedom: prefer M11 >= 0 among data-equivalent candidates.
-    m = _general_mueller(x)
+    m = _general_muellers(x[None])[0]
     if m[1, 1] < 0:
         tol = residual + max(1e-12, 1e-9 * residual)
         for flip in _SIGN_FLIPS:
             cand = m @ flip
-            if cand[1, 1] >= 0 and np.linalg.norm(fun(cand.flat[1:])) <= tol:
+            if cand[1, 1] >= 0 and norm(cand.flat[1:]) <= tol:
                 x = cand.flatten()[1:]
-                residual = float(np.linalg.norm(fun(x)))
+                residual = norm(x)
                 break
 
-    converged = success and (residual_tol is None or residual <= residual_tol)
-    return FitResult("general", np.asarray(x), residual, nfev, converged)
+    converged = bool(converged[best]) and (residual_tol is None or residual <= residual_tol)
+    return FitResult("general", x, residual, int(steps.sum()), converged)
 
 
 def stabilizer_dimension(tensors) -> StabilizerReport:
@@ -325,7 +356,8 @@ def stabilizer_dimension(tensors) -> StabilizerReport:
     tensors = [np.asarray(k, dtype=float) for k in tensors]
     if not tensors:
         raise ValueError("at least one tensor is required")
-    op = np.vstack([_linearized_congruence(k, k) for k in tensors])
+    stack = np.array(tensors)
+    op = _linearized_congruence(stack, stack).reshape(-1, 16)
     _, sing, vt = np.linalg.svd(op)
     dim = int(np.sum(sing < _NULL_SPACE_REL_TOL * sing[0]))
     if dim:

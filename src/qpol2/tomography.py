@@ -66,6 +66,7 @@ def _design_matrix() -> np.ndarray:
 
 
 _DESIGN = _design_matrix()
+_DESIGN_ROW = {label: i for i, label in enumerate(SETTING_LABELS)}
 
 
 def simulate_counts(rho, pairs_per_setting, seed=None, noisy=False):
@@ -106,11 +107,12 @@ def reconstruct(counts) -> np.ndarray:
     for rec in counts:
         if rec.pairs <= 0:
             raise TomographyError("every record needs pairs > 0")
-        sa = analyzer_stokes(rec.setting_a)
-        sb = analyzer_stokes(rec.setting_b)
-        rows.append(0.25 * np.outer(sa, sb).ravel())
+        label = (rec.setting_a, rec.setting_b)
+        if label not in _DESIGN_ROW:
+            raise TomographyError(f"unknown analyzer setting {label}")
+        rows.append(_DESIGN_ROW[label])
         rates.append(rec.counts / rec.pairs)
-    design = np.array(rows)
+    design = _DESIGN[rows]
     rates = np.array(rates)
     if np.linalg.matrix_rank(design) < 16:
         raise TomographyError("measurement settings do not span the operator space")

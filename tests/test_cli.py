@@ -1,5 +1,10 @@
 """End-user command-line interface: subcommands, formats, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -306,6 +311,12 @@ def test_tomo_noisy_requires_seed(capsys, tmp_path):
         "--out", str(tmp_path / "t"),
     )
     assert code == 2
+    for seed in ("-1", "1.5"):
+        code, _, err = run(
+            capsys, "tomo", "--state", str(state), "--noisy", "--seed", seed,
+            "--out", str(tmp_path / "t"),
+        )
+        assert code == 2 and "--seed" in err
 
 
 def test_tomo_noisy_fidelity(capsys, tmp_path):
@@ -399,6 +410,9 @@ def test_fit_argument_validation(capsys, tmp_path):
         capsys, "fit", "--kin", str(tmp_path / "absent.csv"), "--kout", str(kin)
     )
     assert code == 2
+    code, _, err = run(capsys, "fit", "--kin", str(kin), "--kout", str(kin),
+                       "--model", "general", "--seed", "-1")
+    assert code == 2 and "--seed" in err
 
 
 # ------------------------------------------------------------------- image
@@ -475,3 +489,14 @@ def test_stdout_uses_full_precision(capsys):
     # One third appears in no row; spot-check that long decimals survive.
     row0 = out.strip().splitlines()[1].split(",")
     assert row0[2] == "0.25"  # purity at m = 0 prints exactly
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the installed package runs without it.
+    src = str(Path(qpol2.__file__).resolve().parents[1])
+    probe = ("import sys, qpol2.cli; "
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

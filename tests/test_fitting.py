@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
@@ -183,6 +183,91 @@ def test_fit_general_validation():
         fit_general([])
     with pytest.raises(ValueError):
         fit_general([(2 * K_BELL, K_BELL)])
+    with pytest.raises(ValueError):
+        fit_general([(K_BELL, K_BELL)] * 2, n_starts=0)
+
+
+def scipy_general_residual(pairs, n_starts=20, seed=0):
+    """Least residual of scipy's trust-region fits of the general model from
+    the multistarts of ``fit_general``: the bounds, Jacobian and tolerances
+    of the original implementation, kept as the reference optimizer."""
+
+    def mueller(x):
+        return np.concatenate([[1.0], x]).reshape(4, 4)
+
+    def fun(x):
+        m = mueller(x)
+        return np.concatenate([(m @ k_in @ m.T - k_out).ravel() for k_in, k_out in pairs])
+
+    def jac(x):
+        # d(M K M^T)/dM_ab = E_ab K M^T + M K E_ba, without the column of M00.
+        m = mueller(x)
+        cols = []
+        for ab in range(1, 16):
+            e = np.zeros(16)
+            e[ab] = 1.0
+            e = e.reshape(4, 4)
+            cols.append(np.concatenate(
+                [(e @ k_in @ m.T + m @ k_in @ e.T).ravel() for k_in, _ in pairs]))
+        return np.array(cols).T
+
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for _ in range(n_starts):
+        res = least_squares(fun, rng.uniform(-1.0, 1.0, size=15), jac=jac,
+                            bounds=(-1.0, 1.0), method="trf",
+                            xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        best = min(best, float(np.linalg.norm(res.fun)))
+    return best
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # (number of inputs, noise sd): three inputs without and with noise, and
+    # Bell plus one product input, which leaves a one-dimensional stabilizer.
+    family=st.sampled_from([(3, 0.0), (3, 0.01), (3, 0.1), (2, 0.0)]),
+)
+# A large residual: Gauss-Newton steps alone leave every start short of
+# convergence after 1000 steps.
+@example(seed=1020048593, family=(3, 0.1))
+def test_fit_general_residual_no_worse_than_scipy(seed, family):
+    n_inputs, noise = family
+    rng = np.random.default_rng(seed)
+    m_true = random_realizable_mueller(rng)
+    k_ins = [K_BELL] + [product_tensor(rng) for _ in range(n_inputs - 1)]
+    pairs = []
+    for k_in in k_ins:
+        e = rng.normal(0.0, noise, size=(4, 4))
+        e[0, 0] = 0.0
+        pairs.append((k_in, m_true @ k_in @ m_true.T + (e + e.T) / np.sqrt(2.0)))
+    fit = fit_general(pairs, seed=seed % 7)
+    assert fit.converged
+    ref = scipy_general_residual(pairs, seed=seed % 7)
+    assert fit.residual <= ref * (1 + 1e-9) + 1e-13
+
+
+def test_fit_general_bell_plus_product_converges():
+    # The exact fits form a curve (one stabilizer generator); without the
+    # geodesic acceleration the best start stops at a residual of 2e-10.
+    rng = np.random.default_rng(53)
+    m_true = random_realizable_mueller(rng)
+    pairs = [(k, m_true @ k @ m_true.T) for k in (K_BELL, product_tensor(rng))]
+    fit = fit_general(pairs, seed=4)
+    assert fit.converged
+    assert fit.residual < 1e-12
+
+
+def test_fit_general_non_realizable_input_keeps_step_budget():
+    # No Mueller matrix maps these inputs to these outputs; every start
+    # stops within its budget of 1000 steps.
+    rng = np.random.default_rng(3)
+    pairs = [(K_BELL, np.diag([1.0, 0.9, 0.9, 0.9])),
+             (product_tensor(rng), -product_tensor(rng))]
+    fit = fit_general(pairs, n_starts=5, seed=1)
+    assert 0 < fit.iterations <= 5 * 1000
+    assert fit.residual > 1e-3
+    assert np.all(np.abs(fit.params) <= 1.0)
 
 
 # ------------------------------------------------------------- stabilizers

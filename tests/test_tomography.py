@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qpol2
+from qpol2 import fileio
 from qpol2 import (
     ANALYZERS,
     SETTING_LABELS,
@@ -114,6 +115,17 @@ def test_reconstruct_input_validation():
         reconstruct(repeated)  # settings do not span the operator space
     with pytest.raises(TomographyError):
         reconstruct([CountRecord("H", "V", 0.5, 50, 0)])  # pairs must be > 0
+
+
+def test_reconstruct_rejects_unknown_setting_from_file(tmp_path):
+    path = tmp_path / "counts.csv"
+    fileio.write_counts_csv(simulate_counts(bell_state(), 1000), path)
+    text = path.read_text().splitlines()
+    text[5] = "X" + text[5][1:]  # a label outside {H, V, D, A, R, L}
+    path.write_text("\n".join(text) + "\n")
+    records = fileio.read_counts_csv(path)
+    with pytest.raises(TomographyError, match="unknown analyzer setting"):
+        reconstruct(records)
 
 
 def test_fidelity_properties():
