@@ -5,7 +5,8 @@ operators are U_k = sqrt(w_k) J_k.  The same ensemble yields a Mueller
 matrix M_ij = (1/2) Tr[sigma_i sum_k U_k sigma_j U_k^dagger], computed from
 the coherency sum_k U_k (x) U_k*.  Every channel mode applies it: linearly
 when one photon crosses (S_out = M S_in, K_out = M K_in), quadratically
-when both cross independent realizations (K_out = M K_in M^T).
+when both cross independent realizations (K_out = M K_in M^T), and through
+the second moment sum_k M(U_k) (x) M(U_k) when both cross the same one.
 """
 
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ __all__ = [
 
 _WEIGHT_SUM_TOL = 1e-10
 _TRACE_COND_TOL = 1e-8
+_CHUNK = 4096  # paths per block of the correlated mode's coherency Gram matrix
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,8 @@ class KrausEnsemble:
 
     def kraus_gram(self) -> np.ndarray:
         """Return sum_k U_k^dagger U_k (identity for an exactly CPTP channel)."""
-        u = self.kraus()
-        return np.einsum("kba,kbc->ac", u.conj(), u)
+        u = self.kraus().reshape(-1, 2)
+        return u.conj().T @ u
 
     @classmethod
     def identity(cls) -> "KrausEnsemble":
@@ -95,13 +97,11 @@ _T = np.array([s.T.ravel() for s in PAULI])
 _COHERENCY_TO_MUELLER = 0.5 * np.kron(_T, _T.conj())
 
 
-def _mueller(u, each=False):
+def _mueller(u):
     """Unnormalized Mueller matrix sum_k M(U_k) of Kraus operators u (K, 2, 2), from
-    the coherency summed over k; with ``each`` the (K, 4, 4) stack of the M(U_k)."""
-    c = np.einsum("kab,kcd->kacbd" if each else "kab,kcd->acbd", u, u.conj(),
-                  optimize=True)
-    m = c.reshape(-1, 16) @ _COHERENCY_TO_MUELLER.T
-    return m.real.reshape(c.shape[:-4] + (4, 4))
+    the coherency summed over k."""
+    c = np.einsum("kab,kcd->acbd", u, u.conj(), optimize=True)
+    return (c.reshape(-1, 16) @ _COHERENCY_TO_MUELLER.T).real.reshape(4, 4)
 
 
 def _output_state(out):
@@ -156,15 +156,26 @@ def apply_two_photon_correlated(ch: KrausEnsemble, rho):
 
     The Kraus operators are U_k (x) U_k = w_k J_k (x) J_k, so the output is
     the per-realization congruence sum K_out = sum_k M(U_k) K_in M(U_k)^T,
-    renormalized.  The weights enter squared: a lossless uniform Pauli
-    ensemble reports transmittance sum_k w_k^2 = 0.25.  This differs from
-    the independent mode for multi-element ensembles (a correlated Pauli
-    ensemble leaves the Bell state untouched, for instance) and is provided
-    as the alternative microscopic model.  Returns (rho_out, transmittance).
+    renormalized.  It is computed from the second moment
+    S = sum_k M(U_k) (x) M(U_k) (16x16) of the per-path Mueller matrices,
+    which equals Re(Phi G Phi^T) for the coherency-to-Mueller map Phi and the
+    Gram matrix G = sum_k c_k^T c_k of the coherency rows
+    c_k = vec(U_k (x) U_k*), accumulated over chunks of paths.  The weights
+    enter squared: a lossless uniform Pauli ensemble reports transmittance
+    sum_k w_k^2 = 0.25.  This differs from the independent mode for
+    multi-element ensembles (a correlated Pauli ensemble leaves the Bell
+    state untouched, for instance) and is provided as the alternative
+    microscopic model.  Returns (rho_out, transmittance).
     """
     k = correlation_tensor(rho)
-    m = _mueller(ch.kraus(), each=True)
-    return _output_state(np.einsum("kia,ab,kjb->ij", m, k, m, optimize=True))
+    u = ch.kraus()
+    gram = np.zeros((16, 16), dtype=complex)
+    for start in range(0, len(u), _CHUNK):
+        chunk = u[start:start + _CHUNK]
+        c = (chunk[:, :, None, :, None] * chunk.conj()[:, None, :, None, :]).reshape(-1, 16)
+        gram += c.T @ c
+    s = (_COHERENCY_TO_MUELLER @ gram @ _COHERENCY_TO_MUELLER.T).real
+    return _output_state(np.einsum("iajb,ab->ij", s.reshape(4, 4, 4, 4), k))
 
 
 def mueller_from_kraus(ch: KrausEnsemble):

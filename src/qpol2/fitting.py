@@ -240,16 +240,18 @@ def fit_diagonal(k_in, k_out, model="diagonal", residual_tol=None) -> FitResult:
 def _general_muellers(x, m00=1.0) -> np.ndarray:
     """Matrices (n, 4, 4) with entry 00 ``m00`` and the 15 others, row-major,
     from the rows of x (n, 15)."""
-    return np.concatenate([np.full((len(x), 1), m00), x], axis=1).reshape(-1, 4, 4)
+    m = np.empty((len(x), 16))
+    m[:, 0], m[:, 1:] = m00, x
+    return m.reshape(-1, 4, 4)
 
 
-def _congruence_residual(k_in, k_out, x):
-    """Mueller matrices M (n, 4, 4) of parameters x (n, 15), residuals
-    M K_in M^T - K_out (n, P, 4, 4) over the pair stacks k_in, k_out
-    (P, 4, 4), and their sums of squares."""
-    m = _general_muellers(x)
-    r = m[:, None] @ k_in @ m.transpose(0, 2, 1)[:, None] - k_out
-    return m, r, (r * r).sum(axis=(1, 2, 3))
+def _congruence_form(k_in) -> np.ndarray:
+    """Coefficients Q (16P, 16, 16) of the congruence as a quadratic form in
+    y = vec(M), row-major: (M K_p M^T)_ab = y^T Q_pab y, with entries
+    Q_pab[(i, c), (j, d)] = delta_ai delta_bj K_p,cd over the stack k_in
+    (P, 4, 4)."""
+    eye = np.eye(4)
+    return np.einsum("ai,bj,pcd->pabicjd", eye, eye, k_in).reshape(-1, 16, 16)
 
 
 def _linearized_congruence(a, b) -> np.ndarray:
@@ -273,13 +275,16 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
     """Fit a general Mueller matrix (M00 = 1, 15 free entries) to tensor pairs.
 
     Minimizes the stacked congruence residual over all pairs with entries
-    box-constrained to [-1, 1].  The ``n_starts`` uniform multistarts run
-    as one batch of the projected Levenberg-Marquardt solver, with the
-    exact Hessian, the exact geodesic acceleration and a budget of 1000
-    steps per start; the first start with the least residual wins.  A
-    single pair whose input tensor has a nonzero stabilizer algebra is
-    rejected as underdetermined.  When the data leave the sign of the
-    diagonal block free, the representative with M11 >= 0 is returned.
+    box-constrained to [-1, 1].  Each residual is an exact quadratic form in
+    vec(M), whose coefficients are built once per call; every solver step
+    builds the Jacobian once and takes from it the gradient, the exact
+    Hessian and the exact geodesic acceleration.  The ``n_starts`` uniform
+    multistarts run as one batch of the projected Levenberg-Marquardt
+    solver with a budget of 1000 steps per start; the first start with the
+    least residual wins.  A single pair whose input tensor has a nonzero
+    stabilizer algebra is rejected as underdetermined.  When the data leave
+    the sign of the diagonal block free, the representative with M11 >= 0
+    is returned.
     """
     pairs = [_check_tensor_pair(k_in, k_out) for k_in, k_out in pairs]
     if not pairs:
@@ -293,42 +298,52 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
                 "underdetermined - see stabilizer report", report
             )
     k_in = np.array([k for k, _ in pairs])
-    k_out = np.array([k for _, k in pairs])
+    target = np.array([k for _, k in pairs]).reshape(-1)
+    # Each residual r_q = y^T Q_q y - K_out,q is a quadratic form in y = (1, x),
+    # with gradient Sigma_q y and Hessian Sigma_q = Q_q + Q_q^T.
+    q = _congruence_form(k_in)
+    sym = q + q.transpose(0, 2, 1)
+    q_cols = q.reshape(-1, 256).T
+    sym_rows = sym.transpose(1, 0, 2).reshape(16, -1)
+    sym_flat = sym.reshape(-1, 256)
+    jac = None
 
-    def jacobian(m):
-        # d vec(r) / dx: the linearized congruence X -> X K M^T + M K X^T of
-        # every pair without the column of the fixed M00, stacked over pairs.
-        jac = _linearized_congruence(k_in @ m.transpose(0, 2, 1)[:, None], m[:, None] @ k_in)
-        return jac[..., 1:].reshape(len(m), -1, 15)
+    def quadratic(x, m00=1.0):
+        # y = vec(M) and Q(y (x) y) for each row of x.
+        y = _general_muellers(x, m00).reshape(len(x), 16)
+        return y, (y[:, :, None] * y[:, None, :]).reshape(len(x), 256) @ q_cols
+
+    def cost(x):
+        r = quadratic(x)[1] - target
+        return (r * r).sum(axis=1)
 
     def system(x, rows, derivatives=True):
-        m, r, cost = _congruence_residual(k_in, k_out, x)
+        nonlocal jac
         if not derivatives:
-            return cost
-        jac = jacobian(m)
-        grad = np.einsum("nqk,nq->nk", jac, r.reshape(len(x), -1))
-        # r is quadratic in M, d^2 r_ab / dM_ij dM_kl = delta_ai delta_bk K_jl
-        # + delta_ak delta_bi K_lj, so the Hessian J^T J + sum r d^2 r is
-        # exact.  Gauss-Newton alone (J^T J) crawls on large residuals.
-        second = np.einsum("npik,pjl->nijkl", r, k_in).reshape(len(x), 16, 16)
-        second = (second + second.transpose(0, 2, 1))[:, 1:, 1:]
-        return cost, grad, jac.transpose(0, 2, 1) @ jac + second
+            return cost(x)
+        y, r = quadratic(x)
+        r -= target
+        # d r / dx without the column of the fixed M00; the Hessian
+        # J^T J + sum_q r_q Sigma_q is exact.  Gauss-Newton alone (J^T J)
+        # crawls on large residuals.
+        jac = (y @ sym_rows).reshape(len(x), -1, 16)[..., 1:]
+        second = (r @ sym_flat).reshape(len(x), 16, 16)[:, 1:, 1:]
+        hess = jac.transpose(0, 2, 1) @ jac + second
+        return (r * r).sum(axis=1), (r[:, None] @ jac)[:, 0], hess
 
     def accel(x, step, rows):
-        # The second derivative of r along V is 2 V K V^T.
-        v = _general_muellers(step, m00=0.0)
-        curve = 2 * v[:, None] @ k_in @ v.transpose(0, 2, 1)[:, None]
-        return np.einsum("nqk,nq->nk", jacobian(_general_muellers(x)),
-                         curve.reshape(len(x), -1))
+        # The second derivative of r along v is 2 Q(v (x) v), pulled back
+        # through the Jacobian ``system`` has just built at x.
+        return 2 * (quadratic(step, m00=0.0)[1][:, None] @ jac)[:, 0]
 
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_starts, 15))
     steps, converged = _projected_lm(x, system, -1.0, 1000, 1e-13, accel)
-    residuals = np.sqrt(_congruence_residual(k_in, k_out, x)[2])
+    residuals = np.sqrt(cost(x))
     best = int(np.argmin(residuals))
     x, residual = x[best].copy(), float(residuals[best])
 
     def norm(z):
-        return float(np.sqrt(_congruence_residual(k_in, k_out, z[None])[2][0]))
+        return float(np.sqrt(cost(z[None])[0]))
 
     # Resolve sign freedom: prefer M11 >= 0 among data-equivalent candidates.
     m = _general_muellers(x[None])[0]

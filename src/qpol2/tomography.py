@@ -67,6 +67,8 @@ def _design_matrix() -> np.ndarray:
 
 _DESIGN = _design_matrix()
 _DESIGN_ROW = {label: i for i, label in enumerate(SETTING_LABELS)}
+# Product kets |a> (x) |b> of the 36 settings, one row each.
+_KETS = np.array([np.kron(ANALYZERS[a], ANALYZERS[b]) for a, b in SETTING_LABELS])
 
 
 def simulate_counts(rho, pairs_per_setting, seed=None, noisy=False):
@@ -78,18 +80,13 @@ def simulate_counts(rho, pairs_per_setting, seed=None, noisy=False):
     """
     rho = check_density(rho, dim=4)
     pairs = int(pairs_per_setting)
-    rng = np.random.default_rng(seed)
-    records = []
-    for a, b in SETTING_LABELS:
-        ket = np.kron(ANALYZERS[a], ANALYZERS[b])
-        rate = float(np.real(ket.conj() @ rho @ ket))
-        rate = min(max(rate, 0.0), 1.0)
-        if noisy:
-            observed = int(rng.poisson(pairs * rate))
-        else:
-            observed = int(np.rint(pairs * rate))
-        records.append(CountRecord(a, b, rate, observed, pairs))
-    return records
+    rates = np.clip(np.einsum("si,ij,sj->s", _KETS.conj(), rho, _KETS).real, 0.0, 1.0)
+    if noisy:
+        observed = np.random.default_rng(seed).poisson(pairs * rates)
+    else:
+        observed = np.rint(pairs * rates)
+    return [CountRecord(a, b, float(rate), int(n), pairs)
+            for (a, b), rate, n in zip(SETTING_LABELS, rates, observed)]
 
 
 def reconstruct(counts) -> np.ndarray:

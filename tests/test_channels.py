@@ -153,6 +153,24 @@ def test_two_photon_correlated_matches_same_index_sum():
         assert np.allclose(out, direct / direct_trans, atol=1e-12)
 
 
+def test_two_photon_correlated_sums_across_path_chunks():
+    # The second moment is accumulated over blocks of paths; an ensemble of
+    # two full blocks plus a partial one with unequal weights must still
+    # equal the explicit same-index Kraus sum.
+    rng = np.random.default_rng(11)
+    ch = random_cptp_ensemble(rng, k=2 * qpol2.channels._CHUNK + 7)
+    assert np.ptp(ch.weights) > 0
+    rho = random_density(rng)
+    out, trans = apply_two_photon_correlated(ch, rho)
+    direct = np.zeros((4, 4), dtype=complex)
+    for uk in ch.kraus():
+        big = np.kron(uk, uk)
+        direct += big @ rho @ big.conj().T
+    direct_trans = np.trace(direct).real
+    assert np.isclose(trans, direct_trans, atol=1e-12)
+    assert np.allclose(out, direct / direct_trans, atol=1e-12)
+
+
 def test_correlated_pauli_channel_preserves_bell_state():
     # Identical Pauli kicks on both arms leave |Psi+> invariant, unlike
     # independent kicks, which depolarize it.

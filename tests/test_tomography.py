@@ -71,6 +71,25 @@ def test_noisy_counts_determinism():
     assert [r.counts for r in a] != [r.counts for r in c]
 
 
+def test_counts_match_per_setting_kron_reference():
+    # Rates <ab|rho|ab> from one np.kron ket per setting, and one Poisson
+    # draw per setting in label order from the same seed.
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng) if seed % 2 else random_pure_density(rng)
+        for pairs, noisy in ((10**12, False), (10**4, False), (10**4, True), (100, True)):
+            records = simulate_counts(rho, pairs, seed=seed, noisy=noisy)
+            assert len(records) == len(SETTING_LABELS)
+            draws = np.random.default_rng(seed)
+            for rec, (a, b) in zip(records, SETTING_LABELS):
+                ket = np.kron(ANALYZERS[a], ANALYZERS[b])
+                rate = min(max(float(np.real(ket.conj() @ rho @ ket)), 0.0), 1.0)
+                counts = draws.poisson(pairs * rate) if noisy else np.rint(pairs * rate)
+                assert (rec.setting_a, rec.setting_b, rec.pairs) == (a, b, pairs)
+                assert rec.counts == int(counts)
+                assert np.isclose(rec.expected, rate, rtol=0, atol=1e-15)
+
+
 def test_noiseless_roundtrip_on_random_states():
     # With enough pairs the integer rounding is negligible and linear
     # inversion restores the state to near machine precision.
