@@ -43,6 +43,12 @@ class KrausEnsemble:
     ----------
     weights : (K,) float array, nonnegative, summing to 1.
     jones : (K, 2, 2) complex array of per-realization Jones matrices.
+
+    Both are read-only views of the given arrays.  The constructor builds
+    the unnormalized Mueller matrix sum_k M(U_k) once, for every mode but
+    the correlated one; its row 0 holds the Pauli coefficients of
+    sum_k U_k^dagger U_k, whose largest eigenvalue M00 + |(M01, M02, M03)|
+    may not exceed 1.
     """
 
     weights: np.ndarray
@@ -61,10 +67,14 @@ class KrausEnsemble:
             raise ChannelError("ensemble weights must be nonnegative")
         if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
             raise ChannelError("ensemble weights must sum to 1")
+        w, j = w.view(), j.view()
+        w.flags.writeable = j.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "jones", j)
-        gram = self.kraus_gram()
-        if np.linalg.eigvalsh(gram).max() > 1 + _TRACE_COND_TOL:
+        m = _mueller(self.kraus())
+        m.flags.writeable = False
+        object.__setattr__(self, "_raw_mueller", m)
+        if m[0, 0] + np.linalg.norm(m[0, 1:]) > 1 + _TRACE_COND_TOL:
             raise ChannelError("sum_k U_k^dagger U_k exceeds the identity")
 
     def kraus(self) -> np.ndarray:
@@ -72,9 +82,9 @@ class KrausEnsemble:
         return np.sqrt(self.weights)[:, None, None] * self.jones
 
     def kraus_gram(self) -> np.ndarray:
-        """Return sum_k U_k^dagger U_k (identity for an exactly CPTP channel)."""
-        u = self.kraus().reshape(-1, 2)
-        return u.conj().T @ u
+        """Return sum_k U_k^dagger U_k (identity for an exactly CPTP channel),
+        read off row 0 of the Mueller matrix as sum_j M_0j sigma_j."""
+        return np.einsum("j,jab->ab", self._raw_mueller[0], PAULI)
 
     @classmethod
     def identity(cls) -> "KrausEnsemble":
@@ -127,7 +137,7 @@ def apply_one_photon(ch: KrausEnsemble, rho, arm="none"):
     and transmittance the pre-normalization trace.
     """
     rho = check_density(rho)
-    m = _mueller(ch.kraus())
+    m = ch._raw_mueller
     if rho.shape == (2, 2):
         return _output_state(m @ density_to_stokes(rho))
     if rho.shape != (4, 4):
@@ -147,7 +157,7 @@ def apply_two_photon_independent(ch: KrausEnsemble, rho):
     Returns (rho_out, transmittance).
     """
     k = correlation_tensor(rho)
-    m = _mueller(ch.kraus())
+    m = ch._raw_mueller
     return _output_state(m @ k @ m.T)
 
 
@@ -184,7 +194,7 @@ def mueller_from_kraus(ch: KrausEnsemble):
     M is normalized so that M_00 = 1; the raw M_00 (mean channel
     transmission) is returned separately.
     """
-    raw = _mueller(ch.kraus())
+    raw = ch._raw_mueller
     trans = raw[0, 0]
     if trans <= 1e-15:
         raise ChannelError("channel has zero transmittance")

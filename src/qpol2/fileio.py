@@ -70,6 +70,8 @@ def _matrix_from_payload(doc, key_re="re", key_im="im") -> np.ndarray:
         raise FormatError(f"malformed matrix payload ({exc})") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise FormatError("matrix payload is not square")
+    if not np.isfinite(m).all():
+        raise FormatError("matrix payload has non-finite entries")
     return m
 
 
@@ -129,6 +131,8 @@ def kraus_from_json(path) -> KrausEnsemble:
         raise FormatError(f"{path}: malformed matrix payload ({exc})") from exc
     if re.shape != (len(items), 2, 2) or im.shape != re.shape:
         raise FormatError(f"{path}: Jones matrices must be 2x2")
+    if not (np.isfinite(weights).all() and np.isfinite(re).all() and np.isfinite(im).all()):
+        raise FormatError(f"{path}: ensemble has non-finite weights or Jones entries")
     return KrausEnsemble(weights, re + 1j * im)
 
 
@@ -143,6 +147,8 @@ def read_matrix_csv(path) -> np.ndarray:
         raise FormatError(f"{path}: not a numeric CSV matrix ({exc})") from exc
     if m.shape != (4, 4):
         raise FormatError(f"{path}: expected a 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise FormatError(f"{path}: matrix has non-finite entries")
     return m
 
 

@@ -254,15 +254,6 @@ def _congruence_form(k_in) -> np.ndarray:
     return np.einsum("ai,bj,pcd->pabicjd", eye, eye, k_in).reshape(-1, 16, 16)
 
 
-def _linearized_congruence(a, b) -> np.ndarray:
-    """Matrices (..., 16, 16) of X -> X A + B X^T on row-major vec(X) for
-    stacks a, b (..., 4, 4): the linearized congruence, whose entries are
-    single products with 0 or 1."""
-    eye = np.eye(4)
-    return (np.einsum("ia,...bj->...ijab", eye, a)
-            + np.einsum("...ib,ja->...ijab", b, eye)).reshape(*a.shape[:-2], 16, 16)
-
-
 _SIGN_FLIPS = [
     np.diag([1.0, s1, s2, s3])
     for s1 in (1.0, -1.0)
@@ -363,16 +354,19 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
 def stabilizer_dimension(tensors) -> StabilizerReport:
     """Dimension of the joint algebra {X : X K_i + K_i X^T = 0}.
 
-    Computed as the SVD null space of the stacked linear operator with
-    relative threshold 1e-10; the congruence K -> M K M^T is invariant
-    under M -> M exp(tX) for every generator X, so identifiability of a
-    Mueller fit from these inputs requires dimension zero.
+    The map X -> X K + K X^T is the derivative of the congruence
+    M -> M K M^T at M = I, that is the gradient vec(I)^T (Q + Q^T) of the
+    quadratic form Q that ``fit_general`` fits with.  The algebra is the
+    SVD null space of these operators, stacked over the inputs, with
+    relative threshold 1e-10; the congruence is invariant under
+    M -> M exp(tX) for every generator X, so identifiability of a Mueller
+    fit from these inputs requires dimension zero.
     """
     tensors = [np.asarray(k, dtype=float) for k in tensors]
     if not tensors:
         raise ValueError("at least one tensor is required")
-    stack = np.array(tensors)
-    op = _linearized_congruence(stack, stack).reshape(-1, 16)
+    q = _congruence_form(np.array(tensors))
+    op = np.eye(4).ravel() @ (q + q.transpose(0, 2, 1))
     _, sing, vt = np.linalg.svd(op)
     dim = int(np.sum(sing < _NULL_SPACE_REL_TOL * sing[0]))
     if dim:

@@ -65,12 +65,12 @@ class Medium:
     acceptance_half_angle: float = math.radians(5.0)
 
     def __post_init__(self):
-        if self.mu_s <= 0:
-            raise ValueError("mu_s must be positive")
+        if not (math.isfinite(self.mu_s) and self.mu_s > 0):
+            raise ValueError("mu_s must be positive and finite")
         if not 0 <= self.g < 1:
             raise ValueError("g must lie in [0, 1)")
-        if self.d < 0:
-            raise ValueError("thickness must be nonnegative")
+        if not (math.isfinite(self.d) and self.d >= 0):
+            raise ValueError("thickness must be nonnegative and finite")
         if not 0 < self.acceptance_half_angle <= math.pi / 2:
             raise ValueError("acceptance half-angle must lie in (0, pi/2]")
 

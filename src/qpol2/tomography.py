@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import TomographyError
-from .polarization import PAULI, check_density
+from .polarization import _PAULI2, PAULI, check_density
 
 __all__ = [
     "ANALYZERS",
@@ -120,7 +120,7 @@ def reconstruct(counts) -> np.ndarray:
     if k[0, 0] <= 0:
         raise TomographyError("reconstructed intensity is not positive")
     k = k / k[0, 0]
-    rho = 0.25 * np.einsum("ij,iab,jcd->acbd", k, PAULI, PAULI).reshape(4, 4)
+    rho = 0.25 * np.einsum("ij,ijab->ab", k, _PAULI2)
     lam, vec = np.linalg.eigh(rho)
     lam = np.clip(lam, 0.0, None)
     if lam.sum() <= 0:

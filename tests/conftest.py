@@ -26,6 +26,8 @@ MALFORMED_KRAUS_ITEMS = {
     "w_string": [dict(_EYE2, w="x")],
     "jones_3x3": [dict(_EYE3, w=1.0)],
     "jones_mixed": [dict(_EYE2, w=0.5), dict(_EYE3, w=0.5)],
+    "w_nan": [dict(_EYE2, w=math.nan)],
+    "re_inf": [{"w": 1.0, "re": [[math.inf, 0.0], [0.0, 1.0]], "im": _EYE2["im"]}],
 }
 
 

@@ -40,6 +40,8 @@ def test_ensemble_validation():
         KrausEnsemble(np.array([1.0]), np.eye(2))  # jones must be (K, 2, 2)
     with pytest.raises(ChannelError):
         KrausEnsemble(np.array([1.0]), 2 * np.eye(2)[None])  # gain > 1
+    with pytest.raises(ChannelError):  # M00 = 0.51, but M00 + |D| = 1.0201
+        KrausEnsemble(np.array([1.0]), 1.01 * np.diag([1.0, 0.0])[None])
     with pytest.raises(ChannelError):
         KrausEnsemble(np.array([np.nan]), np.eye(2)[None])  # NaN passes < and >
     with pytest.raises(ChannelError):
@@ -59,6 +61,58 @@ def test_random_cptp_gram_is_identity():
         rng = np.random.default_rng(seed)
         ch = random_cptp_ensemble(rng, k=int(rng.integers(1, 6)))
         assert np.allclose(ch.kraus_gram(), np.eye(2), atol=1e-12)
+
+
+def _random_lossy(rng, k, top):
+    """Unequal-weight ensemble whose sum_k U_k^dagger U_k has largest eigenvalue top."""
+    w = rng.uniform(0.1, 1.0, size=k)
+    w /= w.sum()
+    j = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+    gram = np.einsum("k,kba,kbc->ac", w, j.conj(), j)
+    return w, j * np.sqrt(top / np.linalg.eigvalsh(gram).max())
+
+
+def _explicit_gram(w, j):
+    u = np.sqrt(w)[:, None, None] * j
+    return sum(op.conj().T @ op for op in u)
+
+
+def test_kraus_gram_matches_explicit_sum():
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        w, j = _random_lossy(rng, int(rng.integers(1, 40)), rng.uniform(0.2, 1.0))
+        gram = KrausEnsemble(w, j).kraus_gram()
+        assert np.allclose(gram, _explicit_gram(w, j), rtol=0, atol=1e-12)
+
+
+def test_cptp_check_is_largest_eigenvalue_of_gram():
+    rng = np.random.default_rng(42)
+    tops = np.concatenate([rng.uniform(0.9, 1.1, size=150),
+                           1 + 1e-8 + rng.uniform(-1e-9, 1e-9, size=50)])
+    checked = 0
+    for top in tops:
+        w, j = _random_lossy(rng, int(rng.integers(1, 20)), top)
+        bound = np.linalg.eigvalsh(_explicit_gram(w, j)).max() - (1 + 1e-8)
+        if abs(bound) < 1e-12:
+            continue
+        checked += 1
+        if bound > 0:
+            with pytest.raises(ChannelError, match="exceeds the identity"):
+                KrausEnsemble(w, j)
+        else:
+            KrausEnsemble(w, j)
+    assert checked > 150
+
+
+def test_ensemble_arrays_are_read_only_views():
+    w, j = np.array([0.25, 0.75]), np.stack([np.eye(2), np.diag([1, -1])]).astype(complex)
+    ch = KrausEnsemble(w, j)
+    with pytest.raises(ValueError):
+        ch.jones[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        ch.weights[0] = 0.5
+    assert np.shares_memory(ch.jones, j) and np.shares_memory(ch.weights, w)
+    w[0], j[0, 0, 0] = 0.5, 2.0  # the caller's own arrays stay writable
 
 
 def test_pauli_ensemble_identity_weights():

@@ -191,6 +191,12 @@ def test_mc_config_errors(capsys, tmp_path):
             tmp_path / f"seed{i}.json", mu_s=1.0, g=0.5, d=0.1, n_photons=10, seed=seed
         )
         assert run(capsys, "mc", "--config", bad_seed, "--out", str(tmp_path / "s"))[0] == 2
+    for name, values in [("nan_mu_s", dict(mu_s=float("nan"), d=0.1)),
+                         ("nan_d", dict(mu_s=1.0, d=float("nan"))),
+                         ("nan_eta", dict(mu_s=1.0, eta_grid=[0.1, float("nan")]))]:
+        cfg = write_mc_config(tmp_path / f"{name}.json", g=0.5, n_photons=10, seed=0,
+                              **values)
+        assert run(capsys, "mc", "--config", cfg, "--out", str(tmp_path / name))[0] == 2
 
 
 # --------------------------------------------------------------- propagate
@@ -271,7 +277,12 @@ def test_propagate_file_errors(capsys, tmp_path):
     bad_state = tmp_path / "badstate.json"
     fileio.write_json({"dim": 4, "re": {"a": 1}, "im": np.zeros((4, 4)).tolist()},
                       bad_state)
-    cases = [(state, numbers), (bad_state, channel)]
+    nan_state = tmp_path / "nanstate.json"
+    re = bell_state().real
+    re[1, 1] = np.nan
+    fileio.write_json({"dim": 4, "re": re.tolist(), "im": np.zeros((4, 4)).tolist()},
+                      nan_state)
+    cases = [(state, numbers), (bad_state, channel), (nan_state, channel)]
     for name, items in MALFORMED_KRAUS_ITEMS.items():
         cases.append((state, tmp_path / f"{name}.json"))
         fileio.write_json({"items": items}, cases[-1][1])
@@ -413,6 +424,12 @@ def test_fit_argument_validation(capsys, tmp_path):
     code, _, err = run(capsys, "fit", "--kin", str(kin), "--kout", str(kin),
                        "--model", "general", "--seed", "-1")
     assert code == 2 and "--seed" in err
+    nan_out = tmp_path / "nan.csv"
+    k = K_BELL.copy()
+    k[2, 2] = np.nan
+    fileio.write_matrix_csv(k, nan_out)
+    code, _, err = run(capsys, "fit", "--kin", str(kin), "--kout", str(nan_out))
+    assert code == 2 and "Traceback" not in err
 
 
 # ------------------------------------------------------------------- image

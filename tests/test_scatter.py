@@ -38,6 +38,12 @@ def test_medium_validation():
         Medium(mu_s=1.0, g=0.5, d=1.0, acceptance_half_angle=0.0)
     with pytest.raises(ValueError):
         Medium(mu_s=1.0, g=0.5, d=1.0, acceptance_half_angle=2.0)
+    # A non-finite mu_s would run every photon to the event cap.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Medium(mu_s=bad, g=0.5, d=1.0)
+        with pytest.raises(ValueError):
+            Medium(mu_s=1.0, g=0.5, d=bad)
 
 
 def test_effective_thickness_and_transport_length():
