@@ -78,8 +78,9 @@ class KrausEnsemble:
             raise ChannelError("sum_k U_k^dagger U_k exceeds the identity")
 
     def kraus(self) -> np.ndarray:
-        """Return the Kraus operators U_k = sqrt(w_k) J_k as a (K, 2, 2) array."""
-        return np.sqrt(self.weights)[:, None, None] * self.jones
+        """Return the Kraus operators U_k = sqrt(w_k) J_k as a (K, 2, 2) array;
+        a weight within the tolerance below 0 counts as 0."""
+        return np.sqrt(np.maximum(self.weights, 0.0))[:, None, None] * self.jones
 
     def kraus_gram(self) -> np.ndarray:
         """Return sum_k U_k^dagger U_k (identity for an exactly CPTP channel),

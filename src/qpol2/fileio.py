@@ -137,7 +137,16 @@ def kraus_from_json(path) -> KrausEnsemble:
 
 
 def write_matrix_csv(m, path):
-    np.savetxt(path, np.asarray(m, dtype=float), delimiter=",", fmt="%.17g")
+    """Write a 2-D float array (a 1-D one as a column) as CSV at 17
+    significant digits, in one format and one write call; the bytes equal
+    numpy's savetxt with fmt="%.17g" and delimiter=","."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim not in (1, 2):
+        raise ValueError(f"Expected 1D or 2D array, got {m.ndim}D array instead")
+    height, width = m.shape if m.ndim == 2 else (m.size, 1)
+    row = ",".join(["%.17g"] * width) + "\n"
+    with open(path, "w") as fh:
+        fh.write(row * height % tuple(m.ravel().tolist()))
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -229,10 +238,8 @@ def write_pixel_map(pixel_map, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     names = ["m"] if pixel_map.model == "isotropic" else ["m11", "m22", "m33"]
     for idx, name in enumerate(names):
-        np.savetxt(os.path.join(out_dir, f"{name}.csv"),
-                   pixel_map.plane(idx), delimiter=",", fmt="%.17g")
-    np.savetxt(os.path.join(out_dir, "residual.csv"),
-               pixel_map.residuals, delimiter=",", fmt="%.17g")
+        write_matrix_csv(pixel_map.plane(idx), os.path.join(out_dir, f"{name}.csv"))
+    write_matrix_csv(pixel_map.residuals, os.path.join(out_dir, "residual.csv"))
     finite = pixel_map.residuals[np.isfinite(pixel_map.residuals)]
     write_json(
         {

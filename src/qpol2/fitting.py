@@ -36,9 +36,10 @@ class FitResult:
     ``params`` holds 1 (isotropic), 3 (diagonal), or 15 (general, row-major
     without M00) numbers; M00 is always fixed to 1.  ``iterations`` counts
     solver steps for every model; for the general model it is the sum over
-    all multistarts.  ``converged`` means the solver met a tolerance within
-    its step budget and, when a residual tolerance was configured, the
-    residual is below it.
+    all multistarts.  A diagonal or isotropic fit to a diagonal input
+    tensor is the closed form and reports 0.  ``converged`` means the
+    solver met a tolerance within its step budget and, when a residual
+    tolerance was configured, the residual is below it.
     """
 
     model: str
@@ -182,18 +183,25 @@ def _projected_lm(x, system, lo, max_steps, floor, accel=None):
 def _solve_diagonal(k_in, k_out, model):
     """Fit M = diag(1, m) to K_out = M K_in M^T for a stack k_out (P, 4, 4).
 
-    The start m_a = sqrt(K_out,aa / K_in,aa), clipped to [0, 1] and 0.5 where
-    K_in,aa carries no signal, is the exact optimum for a diagonal k_in.
-    ``_projected_lm`` refines each pixel for at most 100 steps with the full
-    Hessian.  Sums run over at most 4 terms in a fixed order, so a pixel's
-    result does not depend on its batch.  Returns parameters (P, 1 or 3),
-    residual norms, step counts and converged flags.
+    The start is m_a = sqrt(K_out,aa / K_in,aa), clipped to [0, 1], and 0.5
+    where K_in,aa carries no signal.  For a diagonal k_in the residual
+    splits into one convex term (u_a K_in,aa - K_out,aa)^2 per axis in
+    u_a = m_a^2 (for the isotropic model, one sum over the axes in u = m^2,
+    whose least-squares ratio the start is), so the start with every
+    nonzero K_in,aa counted as signal is the exact box minimizer; it is
+    returned after 0 steps.  Otherwise axes with |K_in,aa| <= 0.05 count as
+    carrying no signal and ``_projected_lm`` refines each pixel for at most
+    100 steps with the full Hessian.  Sums run over at most 4 terms in a
+    fixed order, so a pixel's result does not depend on its batch.  Returns
+    parameters (P, 1 or 3), residual norms, step counts and converged flags.
     """
     if model not in ("diagonal", "isotropic"):
         raise ValueError("model must be 'diagonal' or 'isotropic'")
     isotropic = model == "isotropic"
+    exact = not np.count_nonzero(k_in - np.diag(np.diagonal(k_in)))
     k_diag, out_diag = np.diagonal(k_in)[1:], np.diagonal(k_out, axis1=1, axis2=2)[:, 1:]
-    signal = np.abs(k_diag) > 0.05
+    # A square that underflows to 0 would make the isotropic ratio 0/0.
+    signal = k_diag * k_diag > 0 if exact else np.abs(k_diag) > 0.05
     if isotropic:  # one least-squares ratio over the three axes
         out_diag, k_diag = (out_diag * k_diag).sum(axis=1, keepdims=True), k_diag @ k_diag
         signal = signal.any(keepdims=True)
@@ -219,7 +227,10 @@ def _solve_diagonal(k_in, k_out, model):
             grad, hess = grad.sum(1, keepdims=True), hess.sum(2).sum(1)[:, None, None]
         return cost, grad, hess
 
-    steps, converged = _projected_lm(x, system, 0, 100, 1e-10)
+    if exact:
+        steps, converged = np.zeros(len(x), dtype=int), np.ones(len(x), dtype=bool)
+    else:
+        steps, converged = _projected_lm(x, system, 0, 100, 1e-10)
     return x, np.sqrt(_diagonal_residual(k_in, k_out, x)[2]), steps, converged
 
 

@@ -1,5 +1,7 @@
 """Kraus ensembles, channel application, and the tensor congruence law."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,28 @@ def test_ensemble_validation():
         KrausEnsemble(np.array([1.0]), np.full((1, 2, 2), np.nan))
     with pytest.raises(ChannelError):
         KrausEnsemble(np.zeros(0), np.zeros((0, 2, 2)))  # no paths
+
+
+def test_weight_just_below_zero_counts_as_zero():
+    # The nonnegativity check allows -1e-12; such a weight must not turn
+    # sqrt(w) and with it every Mueller matrix and output into NaN.
+    ch = KrausEnsemble(np.array([1 + 5e-13, -5e-13]), np.stack([np.eye(2)] * 2))
+    rho2, bell = random_pure_density(np.random.default_rng(3), 2), bell_state()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, trans = mueller_from_kraus(ch)
+        outputs = [
+            (apply_one_photon(ch, rho2), rho2),
+            (apply_one_photon(ch, bell, arm="first"), bell),
+            (apply_one_photon(ch, bell, arm="second"), bell),
+            (apply_two_photon_independent(ch, bell), bell),
+            (apply_two_photon_correlated(ch, bell), bell),
+        ]
+    assert np.array_equal(m, np.eye(4))
+    assert abs(trans - 1) <= 1e-12
+    for (rho_out, t), rho in outputs:
+        assert abs(t - 1) <= 1e-12
+        assert np.allclose(rho_out, rho, atol=1e-12)
 
 
 def test_identity_ensemble_kraus():

@@ -380,6 +380,19 @@ def test_fit_diagonal_recovery_to_json(capsys, tmp_path):
     assert np.abs(np.array(doc["params"]) - [0.8, 0.6, 0.9]).max() < 1e-8
 
 
+def test_fit_diagonal_input_is_closed_form(capsys, tmp_path):
+    kin = tmp_path / "kin.csv"
+    fileio.write_matrix_csv(K_BELL, kin)
+    kout = tmp_path / "kout.csv"
+    fileio.write_matrix_csv(propagate_tensor(np.diag([1.0, 0.8, 0.6, 0.9]), K_BELL), kout)
+    for model in ("diagonal", "isotropic"):
+        result_path = tmp_path / f"{model}.json"
+        code, _, _ = run(capsys, "fit", "--kin", str(kin), "--kout", str(kout),
+                         "--model", model, "--out", str(result_path))
+        assert code == 0
+        assert fileio.read_json(result_path)["iterations"] == 0
+
+
 def test_fit_accepts_density_json_inputs(capsys, tmp_path):
     state = tmp_path / "bell.json"
     fileio.density_to_json(bell_state(), state)

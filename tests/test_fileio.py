@@ -146,6 +146,33 @@ def test_matrix_csv_roundtrip_is_exact(tmp_path):
         assert np.array_equal(fileio.read_matrix_csv(path), m)
 
 
+def test_csv_writer_bytes_match_savetxt(tmp_path):
+    # np.savetxt is the oracle for every plane the package writes.
+    rng = np.random.default_rng(15)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
+                        3.0, -7.0, 2.0**53, 0.1])
+    shapes = [(1,), (9,), (1, 1), (1, 17), (17, 1), (64, 64)]
+    shapes += [tuple(rng.integers(1, 65, size=rng.integers(1, 3))) for _ in range(520)]
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    for shape in shapes:
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        picked = rng.random(shape) < 0.25
+        a[picked] = rng.choice(special, size=picked.sum())
+        fileio.write_matrix_csv(a, ours)
+        np.savetxt(oracle, a, fmt="%.17g", delimiter=",")
+        assert ours.read_bytes() == oracle.read_bytes(), shape
+    tensors = np.stack([np.diag(np.concatenate([[1.0], rng.uniform(0, 1, 3)])) @ K_BELL
+                        for _ in range(15)]).reshape(3, 5, 4, 4)
+    tensors[1, 2, 0, 1] = np.nan
+    pm = reconstruct_image(K_BELL, tensors)
+    fileio.write_pixel_map(pm, tmp_path / "map")
+    planes = {"m11": pm.plane(0), "m22": pm.plane(1), "m33": pm.plane(2),
+              "residual": pm.residuals}
+    for name, plane in planes.items():
+        np.savetxt(oracle, plane, fmt="%.17g", delimiter=",")
+        assert (tmp_path / "map" / f"{name}.csv").read_bytes() == oracle.read_bytes()
+
+
 def test_matrix_csv_validation(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\n3,4\n")

@@ -23,6 +23,7 @@ from qpol2 import (
 )
 from conftest import (
     K_BELL,
+    PAULI_SIGNS,
     random_cp_diagonal,
     random_density,
     random_product_density,
@@ -39,12 +40,31 @@ def mixed_reference_tensor():
     return correlation_tensor(rho)
 
 
-def noisy_outputs(rng, k_in, n, noise):
-    """Congruence outputs of n random CP diagonal depolarizers plus symmetric
-    noise of standard deviation ``noise`` per entry (K00 stays exact)."""
+def bound_cp_diagonal(rng):
+    """CP diagonal depolarizer entries with at least one on the [0, 1] bound."""
+    while True:
+        pick = rng.integers(0, 3, size=3)  # 0: free, 1: at 0, 2: at 1
+        d = np.where(pick == 1, 0.0, np.where(pick == 2, 1.0, rng.uniform(0.0, 1.0, 3)))
+        if pick.any() and ((1 + PAULI_SIGNS @ d) / 4).min() >= 0:
+            return d
+
+
+def random_diagonal_tensor(rng):
+    """diag(1, k) with entries k uniform in [-1, 1], each shrunk with
+    probability 0.4 into the weak range |k| <= 0.05."""
+    k = rng.uniform(-1.0, 1.0, 3)
+    k[rng.random(3) < 0.4] *= 0.05
+    return np.diag(np.concatenate([[1.0], k]))
+
+
+def noisy_outputs(rng, k_in, n, noise, on_bound=False):
+    """Congruence outputs of n random CP diagonal depolarizers (with an entry
+    on the box bound if ``on_bound``) plus symmetric noise of standard
+    deviation ``noise`` per entry (K00 stays exact)."""
     tensors = np.empty((n, 4, 4))
     for i in range(n):
-        m = np.diag(np.concatenate([[1.0], random_cp_diagonal(rng, lo=0.0)]))
+        d = bound_cp_diagonal(rng) if on_bound else random_cp_diagonal(rng, lo=0.0)
+        m = np.diag(np.concatenate([[1.0], d]))
         e = rng.normal(0.0, noise, size=(4, 4))
         e = (e + e.T) / np.sqrt(2.0)
         e[0, 0] = 0.0
@@ -444,20 +464,54 @@ def scipy_diagonal_residual(k_in, k_out, isotropic):
     return float(np.linalg.norm(res.fun))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    reference=st.sampled_from(["bell", "mixed"]),
-    noise=st.sampled_from([0.0, 0.008, 0.05]),
+    reference=st.sampled_from(["bell", "mixed", "diagonal"]),
+    noise=st.sampled_from([0.0, 0.008, 0.05, 0.2]),
+    on_bound=st.booleans(),
     model=st.sampled_from(["diagonal", "isotropic"]),
 )
-def test_fit_diagonal_residual_no_worse_than_scipy(seed, reference, noise, model):
-    k_in = K_BELL if reference == "bell" else mixed_reference_tensor()
-    k_out = noisy_outputs(np.random.default_rng(seed), k_in, 1, noise)[0]
+@example(seed=1, reference="bell", noise=0.0, on_bound=True, model="diagonal")
+@example(seed=2, reference="diagonal", noise=0.2, on_bound=True, model="isotropic")
+# Weak axes, where the stationary point m_a = 0 of the residual is not its minimum.
+@example(seed=4, reference="diagonal", noise=0.2, on_bound=False, model="diagonal")
+def test_fit_diagonal_residual_no_worse_than_scipy(seed, reference, noise, on_bound, model):
+    rng = np.random.default_rng(seed)
+    k_in = (K_BELL if reference == "bell" else mixed_reference_tensor()
+            if reference == "mixed" else random_diagonal_tensor(rng))
+    k_out = noisy_outputs(rng, k_in, 1, noise, on_bound)[0]
     fit = fit_diagonal(k_in, k_out, model=model)
     assert fit.converged
     ref = scipy_diagonal_residual(k_in, k_out, model == "isotropic")
     assert fit.residual <= ref * (1 + 1e-9) + 1e-15
+
+
+def test_fit_diagonal_closed_form_for_diagonal_inputs():
+    # A diagonal input, weak axes (|K_aa| <= 0.05) included, is fitted by
+    # the clipped ratio itself in 0 solver steps; an axis with K_aa = 0 does
+    # not act on the residual and keeps 0.5.  An input with off-diagonal
+    # entries still takes steps.
+    rng = np.random.default_rng(15)
+    inputs = (K_BELL, np.diag([1.0, 0.3, -0.7, 0.06]), np.diag([1.0, 0.03, -1.0, 1.0]),
+              np.diag([1.0, 0.03, -0.02, 0.04]), np.diag([1.0, 0.0, 0.5, -0.01]))
+    for k_in in inputs:
+        k_diag = np.diagonal(k_in)[1:]
+        for noise, on_bound in ((0.0, False), (0.0, True), (0.1, False), (0.1, True)):
+            k_out = noisy_outputs(rng, k_in, 1, noise, on_bound)[0]
+            ratio = np.diagonal(k_out)[1:] / np.where(k_diag != 0, k_diag, 1.0)
+            fit = fit_diagonal(k_in, k_out)
+            assert (fit.iterations, fit.converged) == (0, True)
+            closed = np.where(k_diag != 0, np.sqrt(np.clip(ratio, 0, 1)), 0.5)
+            assert np.array_equal(fit.params, closed)
+            iso = fit_diagonal(k_in, k_out, model="isotropic")
+            assert (iso.iterations, iso.converged) == (0, True)
+            pm = reconstruct_image(k_in, k_out[None, None])
+            assert np.array_equal(pm.values[0, 0], fit.params)
+    mixed = mixed_reference_tensor()
+    k_out = noisy_outputs(rng, mixed, 1, 0.0)[0]
+    for model in ("diagonal", "isotropic"):
+        assert fit_diagonal(mixed, k_out, model=model).iterations > 0
 
 
 def test_reconstruct_image_validates_shape():
