@@ -253,7 +253,10 @@ def mueller_maps_physical(m, n_samples=100, seed=0, tol=1e-10) -> bool:
     """Check that M maps sampled physical Stokes vectors inside the DoP ball.
 
     Samples fully polarized states uniformly on the sphere and verifies the
-    output degree of polarization never exceeds 1 + tol.
+    output degree of polarization never exceeds 1 + tol.  This tests Stokes
+    positivity on sampled pure states, not complete positivity: the
+    transpose map diag(1, 1, 1, -1) passes, although its Cloude coherency
+    matrix has the eigenvalue -1.
     """
     m = np.asarray(m, dtype=float)
     rng = np.random.default_rng(seed)

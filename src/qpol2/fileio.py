@@ -99,9 +99,10 @@ _KRAUS_ITEM = (
 
 
 def kraus_to_json(ch: KrausEnsemble, path):
-    """Write the ensemble item by item; the bytes equal write_json's output.
+    """Write the ensemble in blocks of 1024 items; the bytes equal write_json's output.
 
-    Rows become Python floats 1024 at a time, so no list of every item is built.
+    Each block is formatted by one ``%`` over its floats and written at once,
+    so no list or string of every item is built.
     """
     rows = np.column_stack([ch.weights, ch.jones.real.reshape(-1, 4),
                             ch.jones.imag.reshape(-1, 4)])
@@ -109,9 +110,10 @@ def kraus_to_json(ch: KrausEnsemble, path):
         fh.write(f'{{\n "schema": "{SCHEMA}",\n "items": [\n')
         sep = ""
         for start in range(0, len(rows), 1024):
-            for row in rows[start:start + 1024].tolist():
-                fh.write(sep + _KRAUS_ITEM % tuple(row))
-                sep = ",\n"
+            block = rows[start:start + 1024]
+            fmt = ",\n".join([_KRAUS_ITEM] * len(block))
+            fh.write(sep + fmt % tuple(block.ravel().tolist()))
+            sep = ",\n"
         fh.write("\n ]\n}\n")
 
 
@@ -133,7 +135,9 @@ def kraus_from_json(path) -> KrausEnsemble:
         raise FormatError(f"{path}: Jones matrices must be 2x2")
     if not (np.isfinite(weights).all() and np.isfinite(re).all() and np.isfinite(im).all()):
         raise FormatError(f"{path}: ensemble has non-finite weights or Jones entries")
-    return KrausEnsemble(weights, re + 1j * im)
+    jones = re.astype(complex)  # re + 1j * im would turn -0.0 into 0.0
+    jones.imag = im
+    return KrausEnsemble(weights, jones)
 
 
 def write_matrix_csv(m, path):

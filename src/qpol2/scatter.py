@@ -8,10 +8,11 @@ rotations; transmitted paths within the detection cone form the channel's
 Kraus ensemble.
 
 One array kernel serves ``simulate`` and ``trace_paths``.  It runs the
-photons in chunks of ``_CHUNK`` and advances every live photon of a chunk
-by one scattering event per iteration.  Photon i draws from its own
-Philox4x64-10 stream keyed (seed, i), the stream of numpy's
-``Philox(key=[seed, i])`` computed here on uint64 arrays; event k uses
+photons in chunks of ``_CHUNK`` (16 384) and advances every live photon of a
+chunk by one scattering event per iteration; the chunk bounds the working
+set at about 0.6 KiB per photon, whatever the number of photons.  Photon i
+draws from its own Philox4x64-10 stream keyed (seed, i), the stream of
+numpy's ``Philox(key=[seed, i])`` computed here on uint64 arrays; event k uses
 draws 3k (step length), 3k + 1 (cos theta) and 3k + 2 (azimuth).  A
 photon's path therefore depends only on (seed, i): runs are bitwise
 reproducible, and a batch prefix does not depend on the batch size.  Each
@@ -43,7 +44,10 @@ __all__ = [
 
 _BELL_TENSOR = np.diag([1.0, -1.0, 1.0, 1.0])
 _MAX_EVENTS = 1_000_000
-_CHUNK = 1 << 13            # photons per kernel chunk; bounds the working set
+# Photons per kernel chunk.  A chunk's working set is about 0.6 KiB per
+# photon (9-11 MiB at 1 << 14), below the 11.4 MiB of reading a 10 000-path
+# Kraus JSON, so transport does not set a slab run's peak memory.
+_CHUNK = 1 << 14
 _BLOCK_BUDGET = 1 << 13     # live photons x Philox blocks per draw refill
 
 # termination reasons
@@ -214,9 +218,10 @@ def _trace_chunk(medium: Medium, seed, photons) -> _Transport:
         if done.any():
             why = np.where(forward, np.where(uz < cos_acc, _OUTSIDE_CONE, _ACCEPTED),
                            _BACKSCATTERED)
-            _finish(out, photons[done] - offset, state[:, done], why[done], k)
-            keep = ~done
-            state, draws, photons, z_new = state[:, keep], draws[:, keep], photons[keep], z_new[keep]
+            ended, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            _finish(out, photons[ended] - offset, state.take(ended, axis=1), why[ended], k)
+            state, draws, photons, z_new = (a.take(keep, axis=-1)
+                                            for a in (state, draws, photons, z_new))
         state[13] = z_new
 
         ct = sample_hg(g, draws[r + 1])
@@ -271,7 +276,8 @@ def _exit_jones(state):
     ux = u[0]
     h = np.array([1.0 - ux * ux, -ux * u[1], -ux * u[2]])
     h /= np.sqrt(_dot(h, h))
-    v = np.cross(u, h, axis=0)
+    # v = u x h, written out in np.cross's operand order so the bits match it
+    v = (u[1] * h[2] - u[2] * h[1], u[2] * h[0] - u[0] * h[2], u[0] * h[1] - u[1] * h[0])
     top, bot = state[9:11], state[11:13]
     return np.concatenate([_dot(e1, h) * top + _dot(e2, h) * bot,
                            _dot(e1, v) * top + _dot(e2, v) * bot])

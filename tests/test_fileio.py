@@ -86,7 +86,25 @@ def test_kraus_json_bytes_match_write_json(tmp_path):
     jones[1, 0, 0] = 1e-300
     jones /= 10 * np.abs(jones).max()
     weights = rng.uniform(size=40)
-    cases = [KrausEnsemble.identity(), KrausEnsemble(weights / weights.sum(), jones)]
+    # Past two 1024-item blocks: a capped slab ensemble (equal weights, zero
+    # imaginary parts, repeated identity matrices) and signed zeros mixed with
+    # the smallest subnormal.
+    slab = qpol2.simulate(qpol2.Medium(10.0, 0.9, 0.025, acceptance_half_angle=0.8), 2600, 3)
+    n = 2049
+    assert len(slab.weights) >= n
+    special = np.array([0.0, -0.0, 5e-324])
+    mixed_w = rng.uniform(size=n)
+    mixed_w[rng.random(n) < 0.3] = 0.0
+    mixed_w /= mixed_w.sum()
+    mixed_w[mixed_w == 0.0] = rng.choice(special, np.count_nonzero(mixed_w == 0.0))
+    mixed = np.empty((n, 2, 2), dtype=complex)
+    mixed.real = rng.normal(size=(n, 2, 2)) / 20
+    mixed.imag = rng.normal(size=(n, 2, 2)) / 20
+    for part in (mixed.real, mixed.imag):
+        pick = rng.random(part.shape) < 0.5
+        part[pick] = rng.choice(special, np.count_nonzero(pick))
+    cases = [KrausEnsemble.identity(), KrausEnsemble(weights / weights.sum(), jones),
+             KrausEnsemble(np.full(n, 1.0 / n), slab.jones[:n]), KrausEnsemble(mixed_w, mixed)]
     for i, ch in enumerate(cases):
         fast, ref = tmp_path / f"fast{i}.json", tmp_path / f"ref{i}.json"
         fileio.kraus_to_json(ch, fast)

@@ -232,6 +232,26 @@ def test_kernel_matches_scalar_reference(monkeypatch, case):
     assert truncated.any() == (max_events is not None)
 
 
+@pytest.mark.parametrize("d", [0.025, 0.26])
+def test_chunk_size_does_not_change_outputs(monkeypatch, d):
+    # Photon i's stream is keyed (seed, i), so _CHUNK only bounds the working set.
+    med = Medium(mu_s=10.0, g=0.9, d=d, acceptance_half_angle=WIDE)
+    n = 2 * scatter._CHUNK + 1000
+
+    def outputs():
+        ensemble = simulate(med, n, seed=7)
+        records = trace_paths(med, n, seed=7)
+        return (ensemble.weights.tobytes(), ensemble.jones.tobytes(),
+                np.array([r.jones for r in records]).tobytes(),
+                np.array([r.exit_direction for r in records]).tobytes(),
+                [r.n_events for r in records], [r.transmitted for r in records])
+
+    default = outputs()
+    for chunk in (4096, 1 << 16):
+        monkeypatch.setattr(scatter, "_CHUNK", chunk)
+        assert outputs() == default
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5, 2**63 - 1])
 def test_philox_port_matches_numpy(seed):
     photons = np.array([0, 1, 2, 999, 2**40])
