@@ -38,8 +38,9 @@ class FitResult:
     solver steps for every model; for the general model it is the sum over
     all multistarts.  A diagonal or isotropic fit to a diagonal input
     tensor is the closed form and reports 0.  ``converged`` means the
-    solver met a tolerance within its step budget and, when a residual
-    tolerance was configured, the residual is below it.
+    solver met a tolerance within its step budget (for the general model,
+    or ended it moving only along directions below the damping floor) and,
+    when a residual tolerance was configured, the residual is below it.
     """
 
     model: str
@@ -283,10 +284,14 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
     Hessian and the exact geodesic acceleration.  The ``n_starts`` uniform
     multistarts run as one batch of the projected Levenberg-Marquardt
     solver with a budget of 1000 steps per start; the first start with the
-    least residual wins.  A single pair whose input tensor has a nonzero
-    stabilizer algebra is rejected as underdetermined.  When the data leave
-    the sign of the diagonal block free, the representative with M11 >= 0
-    is returned.
+    least residual wins.  If that start ends with an entry on the bound,
+    one more batch of ``n_starts`` follows from the same stream and the
+    best of both wins.  A best start that used up its budget counts as
+    converged when its next step would only move along directions whose
+    Gauss-Newton curvature is below the damping floor.  A single pair whose
+    input tensor has a nonzero stabilizer algebra is rejected as
+    underdetermined.  When the data leave the sign of the diagonal block
+    free, the representative with M11 >= 0 is returned.
     """
     pairs = [_check_tensor_pair(k_in, k_out) for k_in, k_out in pairs]
     if not pairs:
@@ -338,11 +343,30 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
         # through the Jacobian ``system`` has just built at x.
         return 2 * (quadratic(step, m00=0.0)[1][:, None] @ jac)[:, 0]
 
-    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_starts, 15))
-    steps, converged = _projected_lm(x, system, -1.0, 1000, 1e-13, accel)
+    floor = 1e-13
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(n_starts, 15))
+    steps, converged = _projected_lm(x, system, -1.0, 1000, floor, accel)
     residuals = np.sqrt(cost(x))
+    if np.any(np.abs(x[np.argmin(residuals)]) >= 1.0):
+        # Projected steps that reach the bound from far starts can stop at a
+        # boundary stationary point; when the best start did, draw one more
+        # batch from the same stream.
+        more = rng.uniform(-1.0, 1.0, size=(n_starts, 15))
+        more_steps, more_converged = _projected_lm(more, system, -1.0, 1000, floor, accel)
+        x, steps = np.concatenate([x, more]), np.concatenate([steps, more_steps])
+        converged = np.concatenate([converged, more_converged])
+        residuals = np.concatenate([residuals, np.sqrt(cost(more))])
     best = int(np.argmin(residuals))
-    x, residual = x[best].copy(), float(residuals[best])
+    x, residual, ok = x[best].copy(), float(residuals[best]), bool(converged[best])
+    if not ok:
+        # Such as the nearly flat valley of exact fits that a one-dimensional
+        # stabilizer can leave, which the floor keeps the steps crawling along.
+        _, (grad,), (hess,) = system(x[None], None)
+        free = ~(((x <= -1.0) & (grad > 0)) | ((x >= 1.0) & (grad < 0)))
+        step = np.linalg.solve(hess * np.outer(free, free) + floor * np.eye(15),
+                               np.where(free, -grad, 0.0))
+        ok = bool(np.sum((jac[0] @ step) ** 2) <= floor * (step @ step))
 
     def norm(z):
         return float(np.sqrt(cost(z[None])[0]))
@@ -358,7 +382,7 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
                 residual = norm(x)
                 break
 
-    converged = bool(converged[best]) and (residual_tol is None or residual <= residual_tol)
+    converged = ok and (residual_tol is None or residual <= residual_tol)
     return FitResult("general", x, residual, int(steps.sum()), converged)
 
 
