@@ -101,6 +101,8 @@ def _subsample(ensemble: KrausEnsemble, max_paths, seed) -> KrausEnsemble:
 
 
 def _cmd_mc(args) -> int:
+    if args.max_paths < 1:
+        raise _UsageError("--max-paths must be at least 1")
     cfg = fileio.read_mc_config(args.config)
 
     def emit(tag, medium):
@@ -112,20 +114,15 @@ def _cmd_mc(args) -> int:
         fileio.write_matrix_csv(mueller, f"{args.out}{tag}.mueller.csv")
         print(f"eta={_fmt(effective_thickness(medium))} m={_fmt(fit.params[0])}")
 
+    mu_s, g, n_photons, seed = cfg["mu_s"], cfg["g"], cfg["n_photons"], cfg["seed"]
+    acceptance = math.radians(cfg.get("acceptance_deg", 5.0))
     try:
-        mu_s = float(cfg["mu_s"])
-        g = float(cfg["g"])
-        acceptance = math.radians(float(cfg.get("acceptance_deg", 5.0)))
-        n_photons = int(cfg["n_photons"])
-        seed = _seed_key(cfg["seed"])
         if "d" in cfg:
-            media = [("", Medium(mu_s, g, float(cfg["d"]), acceptance))]
+            media = [("", Medium(mu_s, g, cfg["d"], acceptance))]
         else:
-            media = [
-                (f".{i}", Medium(mu_s, g, eta / (mu_s * (1.0 - g)), acceptance))
-                for i, eta in enumerate(float(e) for e in cfg["eta_grid"])
-            ]
-    except (TypeError, ValueError) as exc:
+            media = [(f".{i}", Medium(mu_s, g, eta / (mu_s * (1.0 - g)), acceptance))
+                     for i, eta in enumerate(cfg["eta_grid"])]
+    except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"{args.config}: {exc}") from exc
     for tag, medium in media:
         emit(tag, medium)
@@ -267,13 +264,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (_UsageError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnderdeterminedFitError as exc:

@@ -63,16 +63,24 @@ def _matrix_payload(m) -> dict:
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def _matrix_from_payload(doc, key_re="re", key_im="im") -> np.ndarray:
+def _numbers(value, shape, what, kinds="iuf") -> np.ndarray:
+    """``value`` as an array of finite JSON numbers of the given ``shape``.
+
+    ``None`` in ``shape`` matches any nonzero length.  Strings, booleans,
+    nulls, objects, ragged lists and integers past 64 bits are format
+    errors; ``kinds="iu"`` admits integers only.
+    """
     try:
-        m = np.asarray(doc[key_re], dtype=float) + 1j * np.asarray(doc[key_im], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed matrix payload ({exc})") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise FormatError("matrix payload is not square")
-    if not np.isfinite(m).all():
-        raise FormatError("matrix payload has non-finite entries")
-    return m
+        a = np.asarray(value)
+        ok = (a.dtype.kind in kinds and a.ndim == len(shape)
+              and all(n > 0 if m is None else n == m for n, m in zip(a.shape, shape))
+              and np.isfinite(a).all())
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise FormatError(f"{what} must be finite {'numbers' if 'f' in kinds else 'integers'}"
+                          f" of shape {str(shape).replace('None', 'n')}")
+    return a
 
 
 def density_to_json(rho, path):
@@ -84,9 +92,11 @@ def density_to_json(rho, path):
 
 def density_from_json(path) -> np.ndarray:
     doc = read_json(path)
-    rho = _matrix_from_payload(doc)
-    if doc.get("dim") not in (2, 4) or rho.shape[0] != doc["dim"]:
+    dim = doc.get("dim")
+    if dim not in (2, 4):
         raise FormatError(f"{path}: density matrix must declare dim 2 or 4")
+    rho = _numbers(doc.get("re"), (dim, dim), f"{path}: 're'").astype(complex)
+    rho.imag = _numbers(doc.get("im"), (dim, dim), f"{path}: 'im'")
     return rho
 
 
@@ -119,24 +129,14 @@ def kraus_to_json(ch: KrausEnsemble, path):
 
 def kraus_from_json(path) -> KrausEnsemble:
     doc = read_json(path)
-    items = doc.get("items")
-    if not isinstance(items, list) or not items:
-        raise FormatError(f"{path}: ensemble needs a nonempty 'items' list")
-    if not all(isinstance(item, dict) and isinstance(item.get("w"), (int, float))
-               for item in items):
-        raise FormatError(f"{path}: ensemble item is not an object with a numeric weight")
     try:
-        weights = np.array([item["w"] for item in items], dtype=float)
-        re = np.array([item["re"] for item in items], dtype=float)
-        im = np.array([item["im"] for item in items], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed matrix payload ({exc})") from exc
-    if re.shape != (len(items), 2, 2) or im.shape != re.shape:
-        raise FormatError(f"{path}: Jones matrices must be 2x2")
-    if not (np.isfinite(weights).all() and np.isfinite(re).all() and np.isfinite(im).all()):
-        raise FormatError(f"{path}: ensemble has non-finite weights or Jones entries")
-    jones = re.astype(complex)  # re + 1j * im would turn -0.0 into 0.0
-    jones.imag = im
+        w, re, im = ([item[key] for item in doc["items"]] for key in ("w", "re", "im"))
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: ensemble needs an 'items' list of "
+                          f"objects with 'w', 're' and 'im' ({exc!r})") from exc
+    weights = _numbers(w, (None,), f"{path}: ensemble weights")
+    jones = _numbers(re, (len(weights), 2, 2), f"{path}: Jones 're'").astype(complex)
+    jones.imag = _numbers(im, jones.shape, f"{path}: Jones 'im'")
     return KrausEnsemble(weights, jones)
 
 
@@ -158,11 +158,7 @@ def read_matrix_csv(path) -> np.ndarray:
         m = np.loadtxt(path, delimiter=",", dtype=float)
     except ValueError as exc:
         raise FormatError(f"{path}: not a numeric CSV matrix ({exc})") from exc
-    if m.shape != (4, 4):
-        raise FormatError(f"{path}: expected a 4x4 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise FormatError(f"{path}: matrix has non-finite entries")
-    return m
+    return _numbers(m, (4, 4), f"{path}: matrix")
 
 
 def write_counts_csv(records, path):
@@ -259,15 +255,25 @@ def write_pixel_map(pixel_map, out_dir):
 
 
 def read_mc_config(path) -> dict:
-    """Read a Monte Carlo run config; requires either "d" or "eta_grid"."""
+    """Read a Monte Carlo run config; requires either "d" or "eta_grid".
+
+    Real fields come back as floats ("eta_grid" a nonempty list of them),
+    "n_photons" (at least 1) and "seed" (below 2**64) as exact ints.
+    """
     doc = read_json(path)
     for key in ("mu_s", "g", "n_photons", "seed"):
         if key not in doc:
             raise FormatError(f"{path}: config lacks required key '{key}'")
     if ("d" in doc) == ("eta_grid" in doc):
         raise FormatError(f"{path}: config needs exactly one of 'd' or 'eta_grid'")
-    if "eta_grid" in doc and not (isinstance(doc["eta_grid"], list) and doc["eta_grid"]):
-        raise FormatError(f"{path}: 'eta_grid' must be a nonempty list")
+    for key in ("mu_s", "g", "d", "acceptance_deg", "eta_grid"):
+        if key in doc:
+            shape = (None,) if key == "eta_grid" else ()
+            doc[key] = _numbers(doc[key], shape, f"{path}: '{key}'").astype(float).tolist()
+    for key, low in (("n_photons", 1), ("seed", 0)):
+        doc[key] = _numbers(doc[key], (), f"{path}: '{key}'", kinds="iu").tolist()
+        if doc[key] < low:
+            raise FormatError(f"{path}: '{key}' must be at least {low}")
     return doc
 
 

@@ -111,11 +111,11 @@ def reconstruct(counts) -> np.ndarray:
         rates.append(rec.counts / rec.pairs)
     design = _DESIGN[rows]
     rates = np.array(rates)
-    if np.linalg.matrix_rank(design) < 16:
+    k, _, rank, _ = np.linalg.lstsq(design, rates, rcond=None)
+    if rank < 16:
         raise TomographyError("measurement settings do not span the operator space")
     if not np.any(rates > 0):
         raise TomographyError("all counts are zero")
-    k, *_ = np.linalg.lstsq(design, rates, rcond=None)
     k = k.reshape(4, 4)
     if k[0, 0] <= 0:
         raise TomographyError("reconstructed intensity is not positive")

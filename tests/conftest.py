@@ -28,6 +28,16 @@ MALFORMED_KRAUS_ITEMS = {
     "jones_mixed": [dict(_EYE2, w=0.5), dict(_EYE3, w=0.5)],
     "w_nan": [dict(_EYE2, w=math.nan)],
     "re_inf": [{"w": 1.0, "re": [[math.inf, 0.0], [0.0, 1.0]], "im": _EYE2["im"]}],
+    "w_bool": [dict(_EYE2, w=True)],
+    "re_strings": [{"w": 1.0, "re": [["1", "0"], ["0", "1"]], "im": _EYE2["im"]}],
+}
+
+#: The maximally mixed two-photon state with its entries written as JSON
+#: strings; a FormatError (CLI exit 2), although numpy would parse them.
+STRING_DENSITY = {
+    "dim": 4,
+    "re": [[str(0.25 * (i == j)) for j in range(4)] for i in range(4)],
+    "im": [["0.0"] * 4] * 4,
 }
 
 

@@ -1,5 +1,10 @@
 """End-user command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
+import copy
+import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qpol2
 from qpol2 import fileio
@@ -17,7 +23,7 @@ from qpol2 import (
     kraus_from_diagonal_mueller,
     propagate_tensor,
 )
-from conftest import K_BELL, MALFORMED_KRAUS_ITEMS, concurrence_state
+from conftest import K_BELL, MALFORMED_KRAUS_ITEMS, STRING_DENSITY, concurrence_state
 
 
 def run(capsys, *argv):
@@ -154,6 +160,9 @@ def test_mc_max_paths_subsampling(capsys, tmp_path):
     ensemble = fileio.kraus_from_json(f"{prefix}.kraus.json")
     assert ensemble.weights.size == 50
     assert np.allclose(ensemble.weights, 1.0 / 50)
+    for bad in ("0", "-3"):
+        code, _, err = run(capsys, "mc", "--config", cfg, "--out", prefix, "--max-paths", bad)
+        assert code == 2 and "--max-paths" in err
 
 
 def test_mc_no_transmission_exit_code(capsys, tmp_path):
@@ -197,6 +206,20 @@ def test_mc_config_errors(capsys, tmp_path):
         cfg = write_mc_config(tmp_path / f"{name}.json", g=0.5, n_photons=10, seed=0,
                               **values)
         assert run(capsys, "mc", "--config", cfg, "--out", str(tmp_path / name))[0] == 2
+    # Numbers must be JSON numbers, n_photons a positive integer, seed no boolean.
+    valid = dict(mu_s=1.0, g=0.5, d=0.1, n_photons=10, seed=0)
+    for i, change in enumerate([dict(n_photons=0), dict(n_photons=-5), dict(n_photons=2.7),
+                                dict(n_photons=True), dict(mu_s="10"), dict(d=True),
+                                dict(seed=True)]):
+        cfg = write_mc_config(tmp_path / f"typed{i}.json", **dict(valid, **change))
+        code, _, err = run(capsys, "mc", "--config", cfg, "--out", str(tmp_path / "t"))
+        assert code == 2, change
+        assert err.startswith("error: ") and err.count("\n") == 1
+    # g = 1 makes eta_grid's thickness eta / (mu_s (1 - g)) a division by zero.
+    flat = write_mc_config(tmp_path / "flat.json", mu_s=1.0, g=1.0, eta_grid=[0.1],
+                           n_photons=10, seed=0)
+    code, _, err = run(capsys, "mc", "--config", flat, "--out", str(tmp_path / "f"))
+    assert code == 2 and "Traceback" not in err
 
 
 # --------------------------------------------------------------- propagate
@@ -282,7 +305,10 @@ def test_propagate_file_errors(capsys, tmp_path):
     re[1, 1] = np.nan
     fileio.write_json({"dim": 4, "re": re.tolist(), "im": np.zeros((4, 4)).tolist()},
                       nan_state)
-    cases = [(state, numbers), (bad_state, channel), (nan_state, channel)]
+    string_state = tmp_path / "stringstate.json"
+    fileio.write_json(STRING_DENSITY, string_state)
+    cases = [(state, numbers), (bad_state, channel), (nan_state, channel),
+             (string_state, channel)]
     for name, items in MALFORMED_KRAUS_ITEMS.items():
         cases.append((state, tmp_path / f"{name}.json"))
         fileio.write_json({"items": items}, cases[-1][1])
@@ -293,6 +319,69 @@ def test_propagate_file_errors(capsys, tmp_path):
         )
         assert code == 2
         assert "Traceback" not in err
+
+
+# ------------------------------------------------------------ fuzzed files
+
+def numeric_leaves(doc, path=()):
+    """Key paths to every number in a parsed JSON document."""
+    if isinstance(doc, (dict, list)):
+        pairs = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for key, value in pairs for leaf in numeric_leaves(value, path + (key,))]
+    return [path] if type(doc) in (int, float) else []
+
+
+@pytest.fixture(scope="module")
+def valid_documents(tmp_path_factory):
+    """A working directory, a valid document of each kind, and the argv that runs it."""
+    work = tmp_path_factory.mktemp("fuzz")
+    state, channel = work / "bell.json", work / "depol.json"
+    fileio.density_to_json(bell_state(), state)
+    fileio.kraus_to_json(kraus_from_diagonal_mueller(0.5, 0.5, 0.5), channel)
+    mc = dict(schema="qpol2/v1", mu_s=10.0, g=0.9, acceptance_deg=45.0, n_photons=20,
+              seed=3)
+    docs = {"density": json.loads(state.read_text()),
+            "kraus": json.loads(channel.read_text()),
+            "mc": dict(mc, d=0.01), "mc_grid": dict(mc, eta_grid=[0.001, 0.002])}
+
+    def argv(name, path):
+        out = ["--out", str(work / "out")]
+        if name == "density":
+            return ["propagate", "--state", str(path), "--channel", str(channel)] + out
+        if name == "kraus":
+            return ["propagate", "--state", str(state), "--channel", str(path)] + out
+        return ["mc", "--config", str(path)] + out
+
+    for name, doc in docs.items():
+        path = work / f"valid_{name}.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv(name, path)) == 0, name
+    return work, docs, argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_number_exits_2(valid_documents, data):
+    # One number of a valid state, Kraus or mc document turns into a string,
+    # null, object, nested list or non-finite float.  (A boolean among
+    # numbers is left out: numpy reads [[true, 0.5]] as [[1.0, 0.5]].)
+    work, docs, argv = valid_documents
+    name = data.draw(st.sampled_from(sorted(docs)))
+    doc = copy.deepcopy(docs[name])
+    *keys, last = data.draw(st.sampled_from(numeric_leaves(doc)))
+    parent = doc
+    for key in keys:
+        parent = parent[key]
+    parent[last] = data.draw(st.sampled_from(
+        ["0.5", None, {}, {"w": 0.5}, [[0.5]], math.nan, math.inf, -math.inf]))
+    path = work / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv(name, path))
+    assert code == 2
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
 # -------------------------------------------------------------------- tomo

@@ -20,6 +20,7 @@ from qpol2 import (
 from conftest import (
     K_BELL,
     MALFORMED_KRAUS_ITEMS,
+    STRING_DENSITY,
     random_cptp_ensemble,
     random_density,
 )
@@ -58,6 +59,13 @@ def test_density_json_roundtrip(tmp_path):
     path2 = tmp_path / "one.json"
     fileio.density_to_json(np.eye(2) / 2, path2)
     assert fileio.density_from_json(path2).shape == (2, 2)
+    # Signed zeros survive; np.array_equal would call -0.0 equal to 0.0.
+    signed = np.eye(2, dtype=complex) / 2
+    signed.real[[0, 1], [1, 0]] = -0.0
+    signed.imag[[0, 1, 1], [1, 0, 1]] = -0.0
+    fileio.density_to_json(signed, path2)
+    loaded = fileio.density_from_json(path2)
+    assert loaded.view(np.uint64).tolist() == signed.view(np.uint64).tolist()
 
 
 def test_density_json_validates_dimension(tmp_path):
@@ -143,6 +151,10 @@ def test_kraus_json_validation(tmp_path):
                       bad_state)
     with pytest.raises(FormatError):
         fileio.density_from_json(bad_state)
+    string_state = tmp_path / "stringstate.json"
+    fileio.write_json(STRING_DENSITY, string_state)
+    with pytest.raises(FormatError):
+        fileio.density_from_json(string_state)
     # A structurally valid file with unphysical weights fails ensemble checks.
     bad_sum = tmp_path / "badsum.json"
     fileio.write_json(
