@@ -22,13 +22,12 @@ from .channels import (
     kraus_from_diagonal_mueller,
     KrausEnsemble,
     mueller_from_kraus,
-    propagate_tensor,
 )
 from .exceptions import FormatError, QPolError, UnderdeterminedFitError
 from .fitting import fit_diagonal, fit_general, reconstruct_image
 from .metrics import metrics_report
 from .polarization import bell_state, check_density, correlation_tensor
-from .scatter import Medium, _seed_key, effective_thickness, simulate
+from .scatter import Medium, _bell_m, _seed_key, _slab_at_eta, effective_thickness, simulate
 from .tomography import fidelity, reconstruct, simulate_counts
 
 __all__ = ["main"]
@@ -50,10 +49,7 @@ def _seed(text) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _metric_values(rho_out, rho_in):
-    rep = metrics_report(rho_out, rho_in)
-    return [rep.concurrence, rep.purity, rep.entropy,
-            rep.dephasing if rep.dephasing is not None else 0.0]
+_SWEEP_METRICS = ("concurrence", "purity", "entropy", "dephasing")
 
 
 def _cmd_sweep(args) -> int:
@@ -61,33 +57,24 @@ def _cmd_sweep(args) -> int:
         raise _UsageError("need 0 <= m-min < m-max <= 1")
     if args.steps < 2:
         raise _UsageError("need at least 2 steps")
+    modes = ("opp", "tpp") if args.modes == "both" else (args.modes,)
     bell = bell_state()
-    rows = []
+    lines = [",".join(["m"] + [f"{name}_{mode}" for name in _SWEEP_METRICS for mode in modes])]
     for m in np.linspace(args.m_min, args.m_max, args.steps):
         ch = kraus_from_diagonal_mueller(m, m, m)
-        row = [float(m)]
-        if args.modes in ("both", "opp"):
-            rho_opp, _ = apply_one_photon(ch, bell, arm="first")
-        if args.modes in ("both", "tpp"):
-            rho_tpp, _ = apply_two_photon_independent(ch, bell)
-        if args.modes == "both":
-            opp = _metric_values(rho_opp, bell)
-            tpp = _metric_values(rho_tpp, bell)
-            for a, b in zip(opp, tpp):
-                row += [a, b]
-            columns = fileio.SWEEP_COLUMNS
-        else:
-            rho = rho_opp if args.modes == "opp" else rho_tpp
-            row += _metric_values(rho, bell)
-            columns = ["m"] + [f"{name}_{args.modes}"
-                               for name in ("concurrence", "purity", "entropy", "dephasing")]
-        rows.append(row)
+        reports = []
+        for mode in modes:
+            rho, _ = (apply_one_photon(ch, bell, arm="first") if mode == "opp"
+                      else apply_two_photon_independent(ch, bell))
+            reports.append(metrics_report(rho, bell))
+        row = [m] + [getattr(rep, name) for name in _SWEEP_METRICS for rep in reports]
+        lines.append(",".join(_fmt(v) for v in row))
+    table = "\n".join(lines) + "\n"
     if args.out:
-        fileio.write_sweep_csv(rows, args.out, columns)
+        with open(args.out, "w", newline="\r\n") as fh:
+            fh.write(table)
     else:
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+        print(table, end="")
     return 0
 
 
@@ -104,28 +91,24 @@ def _cmd_mc(args) -> int:
     if args.max_paths < 1:
         raise _UsageError("--max-paths must be at least 1")
     cfg = fileio.read_mc_config(args.config)
-
-    def emit(tag, medium):
-        ensemble = _subsample(simulate(medium, n_photons, seed), args.max_paths, seed)
-        mueller, _ = mueller_from_kraus(ensemble)
-        bell = np.diag([1.0, -1.0, 1.0, 1.0])
-        fit = fit_diagonal(bell, propagate_tensor(mueller, bell), model="isotropic")
-        fileio.kraus_to_json(ensemble, f"{args.out}{tag}.kraus.json")
-        fileio.write_matrix_csv(mueller, f"{args.out}{tag}.mueller.csv")
-        print(f"eta={_fmt(effective_thickness(medium))} m={_fmt(fit.params[0])}")
-
-    mu_s, g, n_photons, seed = cfg["mu_s"], cfg["g"], cfg["n_photons"], cfg["seed"]
-    acceptance = math.radians(cfg.get("acceptance_deg", 5.0))
+    n_photons, seed = cfg["n_photons"], cfg["seed"]
     try:
+        medium = Medium(cfg["mu_s"], cfg["g"], cfg.get("d", 0.0),
+                        math.radians(cfg.get("acceptance_deg", 5.0)))
         if "d" in cfg:
-            media = [("", Medium(mu_s, g, cfg["d"], acceptance))]
+            media = [("", medium)]
         else:
-            media = [(f".{i}", Medium(mu_s, g, eta / (mu_s * (1.0 - g)), acceptance))
+            media = [(f".{i}", _slab_at_eta(medium, eta))
                      for i, eta in enumerate(cfg["eta_grid"])]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise FormatError(f"{args.config}: {exc}") from exc
     for tag, medium in media:
-        emit(tag, medium)
+        ensemble = _subsample(simulate(medium, n_photons, seed), args.max_paths, seed)
+        mueller, _ = mueller_from_kraus(ensemble)
+        m = _bell_m(mueller)
+        fileio.kraus_to_json(ensemble, f"{args.out}{tag}.kraus.json")
+        fileio.write_matrix_csv(mueller, f"{args.out}{tag}.mueller.csv")
+        print(f"eta={_fmt(effective_thickness(medium))} m={_fmt(m)}")
     return 0
 
 
@@ -189,11 +172,11 @@ def _cmd_image(args) -> int:
     k_in = fileio.load_tensor(args.kin)
     grid = fileio.read_grid(args.grid)
     pm = reconstruct_image(k_in, grid, model=args.model)
-    fileio.write_pixel_map(pm, args.out_dir)
-    finite = pm.residuals[np.isfinite(pm.residuals)]
-    max_resid = finite.max() if finite.size else float("nan")
-    print(f"pixels={pm.width * pm.height} max_residual={_fmt(max_resid)} "
-          f"n_failed={int((~pm.converged).sum())}")
+    summary = fileio.write_pixel_map(pm, args.out_dir)
+    max_resid = summary["max_residual"]
+    print(f"pixels={pm.width * pm.height} "
+          f"max_residual={_fmt(float('nan') if max_resid is None else max_resid)} "
+          f"n_failed={summary['n_failed']}")
     return 0
 
 

@@ -8,12 +8,14 @@ by row-major pixels of 16 little-endian float64 tensor entries each.
 
 import csv
 import json
+import os
 import struct
 
 import numpy as np
 
 from .channels import KrausEnsemble
 from .exceptions import FormatError
+from .polarization import correlation_tensor
 from .tomography import CountRecord
 
 __all__ = [
@@ -28,7 +30,6 @@ __all__ = [
     "read_matrix_csv",
     "write_counts_csv",
     "read_counts_csv",
-    "write_sweep_csv",
     "write_grid",
     "read_grid",
     "write_pixel_map",
@@ -176,33 +177,19 @@ def read_counts_csv(path):
         if reader.fieldnames != ["setting_a", "setting_b", "pairs", "counts"]:
             raise FormatError(f"{path}: unexpected counts header {reader.fieldnames}")
         for row in reader:
+            tokens = row["pairs"], row["counts"]
             try:
-                pairs = int(row["pairs"])
-                counts = int(row["counts"])
-            except (TypeError, ValueError) as exc:
+                if not all(t.isascii() and t.isdigit() for t in tokens):
+                    raise ValueError(f"not plain decimal integers: {tokens}")
+                pairs, counts = map(int, tokens)
+            except (AttributeError, ValueError) as exc:  # AttributeError: a short row
                 raise FormatError(f"{path}: malformed counts row ({exc})") from exc
+            if pairs < 1:
+                raise FormatError(f"{path}: pairs must be at least 1, got {pairs}")
             records.append(
-                CountRecord(row["setting_a"], row["setting_b"],
-                            counts / pairs if pairs else 0.0, counts, pairs)
+                CountRecord(row["setting_a"], row["setting_b"], counts / pairs, counts, pairs)
             )
     return records
-
-
-SWEEP_COLUMNS = [
-    "m",
-    "concurrence_opp", "concurrence_tpp",
-    "purity_opp", "purity_tpp",
-    "entropy_opp", "entropy_tpp",
-    "dephasing_opp", "dephasing_tpp",
-]
-
-
-def write_sweep_csv(rows, path, columns=SWEEP_COLUMNS):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" for v in row])
 
 
 def write_grid(tensors, path):
@@ -232,26 +219,26 @@ def read_grid(path) -> np.ndarray:
 
 
 def write_pixel_map(pixel_map, out_dir):
-    """Write one CSV plane per fitted parameter, a residual plane, and a summary."""
-    import os
+    """Write one CSV plane per fitted parameter, a residual plane, and a summary.
 
+    Returns the summary dict written to ``summary.json``, without its schema tag.
+    """
     os.makedirs(out_dir, exist_ok=True)
     names = ["m"] if pixel_map.model == "isotropic" else ["m11", "m22", "m33"]
     for idx, name in enumerate(names):
         write_matrix_csv(pixel_map.plane(idx), os.path.join(out_dir, f"{name}.csv"))
     write_matrix_csv(pixel_map.residuals, os.path.join(out_dir, "residual.csv"))
     finite = pixel_map.residuals[np.isfinite(pixel_map.residuals)]
-    write_json(
-        {
-            "model": pixel_map.model,
-            "width": pixel_map.width,
-            "height": pixel_map.height,
-            "max_residual": float(finite.max()) if finite.size else None,
-            "mean_residual": float(finite.mean()) if finite.size else None,
-            "n_failed": int((~pixel_map.converged).sum()),
-        },
-        os.path.join(out_dir, "summary.json"),
-    )
+    summary = {
+        "model": pixel_map.model,
+        "width": pixel_map.width,
+        "height": pixel_map.height,
+        "max_residual": float(finite.max()) if finite.size else None,
+        "mean_residual": float(finite.mean()) if finite.size else None,
+        "n_failed": int((~pixel_map.converged).sum()),
+    }
+    write_json(summary, os.path.join(out_dir, "summary.json"))
+    return summary
 
 
 def read_mc_config(path) -> dict:
@@ -279,8 +266,6 @@ def read_mc_config(path) -> dict:
 
 def load_tensor(path) -> np.ndarray:
     """Load a correlation tensor from a tensor CSV or a density-matrix JSON."""
-    from .polarization import correlation_tensor
-
     if str(path).endswith(".json"):
         return correlation_tensor(density_from_json(path))
     return read_matrix_csv(path)

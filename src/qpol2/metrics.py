@@ -11,7 +11,6 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import UnphysicalStateError
 from .polarization import PAULI, check_density
 
 __all__ = [
@@ -85,8 +84,6 @@ def von_neumann_entropy(rho) -> float:
     """Base-2 von Neumann entropy -sum l log2 l with 0 log 0 = 0."""
     rho = check_density(rho)
     lam = np.linalg.eigvalsh(rho)
-    if lam.min() < -1e-10:
-        raise UnphysicalStateError("negative eigenvalue in entropy computation")
     lam = np.clip(lam, 0.0, None)
     nz = lam[lam > 0]
     return float(-np.sum(nz * np.log2(nz)) + 0.0)  # +0.0 avoids -0.0 output

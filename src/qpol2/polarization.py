@@ -52,15 +52,6 @@ PSD_TOL = -1e-10
 _PAULI2 = np.array([np.kron(a, b) for a in PAULI for b in PAULI]).reshape(4, 4, 4, 4)
 
 
-def _assert_pauli_orthogonality():
-    gram = np.einsum("iab,jba->ij", PAULI, PAULI)
-    if not np.allclose(gram, 2 * np.eye(4), atol=1e-14):
-        raise AssertionError("Pauli basis is not orthogonal under Tr[si sj] = 2 dij")
-
-
-_assert_pauli_orthogonality()
-
-
 def degree_of_polarization(s) -> float:
     """Return sqrt(S1^2 + S2^2 + S3^2) / S0 for a Stokes vector."""
     s = np.asarray(s, dtype=float)

@@ -311,6 +311,17 @@ def simulate(medium: Medium, n_photons, seed) -> KrausEnsemble:
     return KrausEnsemble(np.full(len(jones), 1.0 / len(jones)), jones)
 
 
+def _slab_at_eta(medium: Medium, eta) -> Medium:
+    """``medium`` with the thickness that gives effective thickness ``eta``."""
+    return replace(medium, d=eta / (medium.mu_s * (1.0 - medium.g)))
+
+
+def _bell_m(mueller) -> float:
+    """Isotropic m fitted to the Bell tensor sent through ``mueller``."""
+    fit = fit_diagonal(_BELL_TENSOR, propagate_tensor(mueller, _BELL_TENSOR), model="isotropic")
+    return float(fit.params[0])
+
+
 def mueller_vs_eta(medium_template: Medium, eta_grid, n_photons, seed):
     """Simulate a slab at each effective thickness and fit the isotropic m.
 
@@ -323,11 +334,7 @@ def mueller_vs_eta(medium_template: Medium, eta_grid, n_photons, seed):
         raise ValueError("eta grid must be strictly increasing")
     results = []
     for eta in eta_grid:
-        thickness = eta / (medium_template.mu_s * (1.0 - medium_template.g))
-        medium = replace(medium_template, d=thickness)
-        ensemble = simulate(medium, n_photons, seed)
+        ensemble = simulate(_slab_at_eta(medium_template, eta), n_photons, seed)
         mueller, _ = mueller_from_kraus(ensemble)
-        k_out = propagate_tensor(mueller, _BELL_TENSOR)
-        fit = fit_diagonal(_BELL_TENSOR, k_out, model="isotropic")
-        results.append((eta, mueller, float(fit.params[0])))
+        results.append((eta, mueller, _bell_m(mueller)))
     return results

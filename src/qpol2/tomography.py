@@ -123,8 +123,6 @@ def reconstruct(counts) -> np.ndarray:
     rho = 0.25 * np.einsum("ij,ijab->ab", k, _PAULI2)
     lam, vec = np.linalg.eigh(rho)
     lam = np.clip(lam, 0.0, None)
-    if lam.sum() <= 0:
-        raise TomographyError("projection produced the zero matrix")
     lam /= lam.sum()
     return (vec * lam) @ vec.conj().T
 

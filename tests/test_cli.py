@@ -45,7 +45,13 @@ def test_sweep_default_table(capsys):
     code, out, _ = run(capsys, "sweep")
     assert code == 0
     header, rows = sweep_table(out)
-    assert header == fileio.SWEEP_COLUMNS
+    assert header == [
+        "m",
+        "concurrence_opp", "concurrence_tpp",
+        "purity_opp", "purity_tpp",
+        "entropy_opp", "entropy_tpp",
+        "dephasing_opp", "dephasing_tpp",
+    ]
     assert len(rows) == 11
     col = {name: i for i, name in enumerate(header)}
     last = rows[-1]  # m = 1: identity channel
@@ -81,6 +87,17 @@ def test_sweep_single_mode_and_file_output(capsys, tmp_path):
         "m", "concurrence_opp", "purity_opp", "entropy_opp", "dephasing_opp"
     ]
     assert len(lines) == 4
+
+
+def test_sweep_file_is_stdout_with_crlf(capsys, tmp_path):
+    # The --out file holds the stdout table byte for byte, with CRLF line ends.
+    for modes in ("both", "opp", "tpp"):
+        argv = ["sweep", "--modes", modes, "--m-min", "0.1", "--steps", "4"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / f"{modes}.csv"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.replace("\n", "\r\n").encode()
 
 
 def test_sweep_range_validation(capsys):
@@ -215,11 +232,14 @@ def test_mc_config_errors(capsys, tmp_path):
         code, _, err = run(capsys, "mc", "--config", cfg, "--out", str(tmp_path / "t"))
         assert code == 2, change
         assert err.startswith("error: ") and err.count("\n") == 1
-    # g = 1 makes eta_grid's thickness eta / (mu_s (1 - g)) a division by zero.
-    flat = write_mc_config(tmp_path / "flat.json", mu_s=1.0, g=1.0, eta_grid=[0.1],
-                           n_photons=10, seed=0)
-    code, _, err = run(capsys, "mc", "--config", flat, "--out", str(tmp_path / "f"))
-    assert code == 2 and "Traceback" not in err
+    # g = 1 or mu_s = 0 would make eta_grid's thickness eta / (mu_s (1 - g)) a
+    # division by zero; the medium's own checks name the field.
+    for name, values in [("g", dict(mu_s=1.0, g=1.0)), ("mu_s", dict(mu_s=0.0, g=0.5))]:
+        cfg = write_mc_config(tmp_path / f"flat_{name}.json", eta_grid=[0.1],
+                              n_photons=10, seed=0, **values)
+        code, _, err = run(capsys, "mc", "--config", cfg, "--out", str(tmp_path / "f"))
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("error: ") and f"{name} must" in err
 
 
 # --------------------------------------------------------------- propagate
@@ -556,6 +576,11 @@ def test_image_reconstruction(capsys, tmp_path):
     assert code == 0
     assert "pixels=12" in out
     assert "n_failed=0" in out
+    # The printed figures are the ones summary.json holds.
+    fields = dict(kv.split("=") for kv in out.split())
+    summary = fileio.read_json(out_dir / "summary.json")
+    assert float(fields["max_residual"]) == summary["max_residual"]
+    assert int(fields["n_failed"]) == summary["n_failed"]
     m11 = np.loadtxt(out_dir / "m11.csv", delimiter=",")
     assert np.abs(m11 - truth[:, :, 1]).max() < 1e-8
     # Re-running yields byte-identical planes.

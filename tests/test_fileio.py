@@ -235,20 +235,14 @@ def test_counts_csv_header_validation(tmp_path):
     path.write_text("a,b,n,k\nH,V,10,5\n")
     with pytest.raises(FormatError):
         fileio.read_counts_csv(path)
+    # pairs (at least 1) and counts (at least 0) are plain ASCII decimal integers.
     garbled = tmp_path / "garbled.csv"
-    garbled.write_text("setting_a,setting_b,pairs,counts\nH,V,ten,5\n")
-    with pytest.raises(FormatError):
-        fileio.read_counts_csv(garbled)
-
-
-def test_sweep_csv_layout(tmp_path):
-    rows = [[0.5] + [0.1 * i for i in range(8)]]
-    path = tmp_path / "sweep.csv"
-    fileio.write_sweep_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",") == fileio.SWEEP_COLUMNS
-    assert len(fileio.SWEEP_COLUMNS) == 9
-    assert float(lines[1].split(",")[0]) == 0.5
+    for row in ["H,V,ten,5", "H,V,1_000,5", "H,V, 1000 ,5", "H,V,+1000,5",
+                "H,V,\u0661\u0660\u0660\u0660,5", "H,V,1000,-5", "H,V,0,0", "H,V,-10,5",
+                "H,V,1000"]:
+        garbled.write_text(f"setting_a,setting_b,pairs,counts\n{row}\n", encoding="utf-8")
+        with pytest.raises(FormatError):
+            fileio.read_counts_csv(garbled)
 
 
 def test_grid_roundtrip_and_layout(tmp_path):
