@@ -96,19 +96,19 @@ def _cmd_mc(args) -> int:
         medium = Medium(cfg["mu_s"], cfg["g"], cfg.get("d", 0.0),
                         math.radians(cfg.get("acceptance_deg", 5.0)))
         if "d" in cfg:
-            media = [("", medium)]
+            media = [("", medium, effective_thickness(medium))]
         else:
-            media = [(f".{i}", _slab_at_eta(medium, eta))
+            media = [(f".{i}", _slab_at_eta(medium, eta), eta)
                      for i, eta in enumerate(cfg["eta_grid"])]
     except ValueError as exc:
         raise FormatError(f"{args.config}: {exc}") from exc
-    for tag, medium in media:
+    for tag, medium, eta in media:
         ensemble = _subsample(simulate(medium, n_photons, seed), args.max_paths, seed)
         mueller, _ = mueller_from_kraus(ensemble)
         m = _bell_m(mueller)
         fileio.kraus_to_json(ensemble, f"{args.out}{tag}.kraus.json")
         fileio.write_matrix_csv(mueller, f"{args.out}{tag}.mueller.csv")
-        print(f"eta={_fmt(effective_thickness(medium))} m={_fmt(m)}")
+        print(f"eta={_fmt(eta)} m={_fmt(m)}")
     return 0
 
 

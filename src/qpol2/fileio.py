@@ -7,6 +7,7 @@ by row-major pixels of 16 little-endian float64 tensor entries each.
 """
 
 import csv
+import gc
 import json
 import os
 import struct
@@ -52,7 +53,9 @@ def read_json(path) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    # ValueError: JSONDecodeError, invalid UTF-8, and integers past the
+    # interpreter's digit limit; RecursionError: arrays nested too deeply.
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise FormatError(f"{path}: missing or unsupported schema tag")
@@ -129,6 +132,30 @@ def kraus_to_json(ch: KrausEnsemble, path):
 
 
 def kraus_from_json(path) -> KrausEnsemble:
+    """Read an ensemble written by ``kraus_to_json`` (or any ``qpol2/v1`` layout
+    of the same items).
+
+    The cyclic garbage collector is paused from the parse until the parsed
+    document is freed.  The parse makes one dict and six lists per item, and
+    with the collector on, a 10 000-item read ran about 99 collections over
+    these containers that freed nothing: a JSON document holds no cycles.
+    Turning the collector on again before the document is freed would start
+    one more collection over all of them.  The pause is process-wide, which
+    suits the single-threaded library; a caller that turned the collector off
+    finds it off afterwards.
+    """
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        weights, jones = _kraus_arrays(path)
+    finally:
+        if gc_was_on:
+            gc.enable()
+    return KrausEnsemble(weights, jones)
+
+
+def _kraus_arrays(path):
+    """Weights and Jones matrices of a Kraus JSON; the document dies on return."""
     doc = read_json(path)
     try:
         w, re, im = ([item[key] for item in doc["items"]] for key in ("w", "re", "im"))
@@ -138,7 +165,7 @@ def kraus_from_json(path) -> KrausEnsemble:
     weights = _numbers(w, (None,), f"{path}: ensemble weights")
     jones = _numbers(re, (len(weights), 2, 2), f"{path}: Jones 're'").astype(complex)
     jones.imag = _numbers(im, jones.shape, f"{path}: Jones 'im'")
-    return KrausEnsemble(weights, jones)
+    return weights, jones
 
 
 def write_matrix_csv(m, path):
@@ -171,24 +198,28 @@ def write_counts_csv(records, path):
 
 
 def read_counts_csv(path):
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            header, rows = reader.fieldnames, list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a field past csv's size limit
+        raise FormatError(f"{path}: not a counts CSV ({exc})") from exc
+    if header != ["setting_a", "setting_b", "pairs", "counts"]:
+        raise FormatError(f"{path}: unexpected counts header {header}")
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["setting_a", "setting_b", "pairs", "counts"]:
-            raise FormatError(f"{path}: unexpected counts header {reader.fieldnames}")
-        for row in reader:
-            tokens = row["pairs"], row["counts"]
-            try:
-                if not all(t.isascii() and t.isdigit() for t in tokens):
-                    raise ValueError(f"not plain decimal integers: {tokens}")
-                pairs, counts = map(int, tokens)
-            except (AttributeError, ValueError) as exc:  # AttributeError: a short row
-                raise FormatError(f"{path}: malformed counts row ({exc})") from exc
-            if pairs < 1:
-                raise FormatError(f"{path}: pairs must be at least 1, got {pairs}")
-            records.append(
-                CountRecord(row["setting_a"], row["setting_b"], counts / pairs, counts, pairs)
-            )
+    for row in rows:
+        tokens = row["pairs"], row["counts"]
+        try:
+            if not all(t.isascii() and t.isdigit() for t in tokens):
+                raise ValueError(f"not plain decimal integers: {tokens}")
+            pairs, counts = map(int, tokens)
+        except (AttributeError, ValueError) as exc:  # AttributeError: a short row
+            raise FormatError(f"{path}: malformed counts row ({exc})") from exc
+        if pairs < 1:
+            raise FormatError(f"{path}: pairs must be at least 1, got {pairs}")
+        records.append(
+            CountRecord(row["setting_a"], row["setting_b"], counts / pairs, counts, pairs)
+        )
     return records
 
 

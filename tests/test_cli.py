@@ -141,6 +141,9 @@ def test_mc_eta_grid_outputs(capsys, tmp_path):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 2
+    # eta as given in the grid, not recomputed from the slab thickness
+    # (0.05 / (mu_s (1 - g)) times mu_s (1 - g) is 0.05000000000000001).
+    assert [line.split()[0] for line in lines] == [f"eta={e:.17g}" for e in (0.05, 0.3)]
     ms = [float(line.split("m=")[1]) for line in lines]
     assert ms[0] > ms[1]  # thicker slab depolarizes more
     for i in range(2):
@@ -339,6 +342,24 @@ def test_propagate_file_errors(capsys, tmp_path):
         )
         assert code == 2
         assert "Traceback" not in err
+
+
+def test_unparsable_files_exit_2(capsys, tmp_path):
+    # A state that is not UTF-8 and a channel nested past the recursion limit.
+    state, channel = tmp_path / "bell.json", tmp_path / "id.json"
+    fileio.density_to_json(bell_state(), state)
+    fileio.kraus_to_json(qpol2.KrausEnsemble.identity(), channel)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff" + state.read_bytes())
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    out = ["--out", str(tmp_path / "o")]
+    for argv in (["tomo", "--state", str(binary)] + out,
+                 ["fit", "--kin", str(binary), "--kout", str(state)],
+                 ["propagate", "--state", str(state), "--channel", str(deep)] + out):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ------------------------------------------------------------ fuzzed files

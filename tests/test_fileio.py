@@ -1,10 +1,12 @@
 """JSON/CSV/binary file formats and their validation."""
 
+import gc
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qpol2
 from qpol2 import fileio
@@ -346,3 +348,125 @@ def test_load_tensor_from_both_formats(tmp_path):
     cpath = tmp_path / "tensor.csv"
     fileio.write_matrix_csv(K_BELL, cpath)
     assert np.array_equal(fileio.load_tensor(cpath), K_BELL)
+
+
+def test_readers_reject_unparsable_text(tmp_path):
+    # Invalid UTF-8, arrays nested past the recursion limit, and a counts
+    # field past the csv module's size limit.
+    bad_utf8 = tmp_path / "bad_utf8"
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    long_field = tmp_path / "long_field.csv"
+    long_field.write_text('setting_a,setting_b,pairs,counts\nH,"' + "x" * 200_000 + "\n")
+    with pytest.raises(FormatError):
+        fileio.read_counts_csv(long_field)
+    for prefix in (b"\xff", b"setting_a,setting_b,pairs,counts\nH,\xff,10,5\n"):
+        bad_utf8.write_bytes(prefix + b'{"schema": "qpol2/v1"}')
+        for reader in (fileio.read_json, fileio.read_counts_csv):
+            with pytest.raises(FormatError):
+                reader(bad_utf8)
+    for reader in (fileio.read_json, fileio.kraus_from_json):
+        with pytest.raises(FormatError):
+            reader(deep)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Each byte-level reader with the bytes of one valid file it reads."""
+    work = tmp_path_factory.mktemp("bytes")
+    writes = [
+        (fileio.density_from_json, lambda p: fileio.density_to_json(bell_state(), p)),
+        (fileio.kraus_from_json,
+         lambda p: fileio.kraus_to_json(qpol2.kraus_from_diagonal_mueller(0.5, 0.6, 0.7), p)),
+        (fileio.read_mc_config,
+         lambda p: fileio.write_json(dict(mu_s=10.0, g=0.9, d=0.01, n_photons=20, seed=3), p)),
+        (fileio.read_matrix_csv, lambda p: fileio.write_matrix_csv(K_BELL, p)),
+        (fileio.read_counts_csv,
+         lambda p: fileio.write_counts_csv(simulate_counts(bell_state(), 50, seed=1,
+                                                           noisy=True), p)),
+        (fileio.read_grid,
+         lambda p: fileio.write_grid(np.random.default_rng(0).normal(size=(1, 2, 4, 4)), p)),
+    ]
+    files = []
+    for reader, write in writes:
+        path = work / reader.__name__
+        write(path)
+        reader(path)
+        files.append((reader, path.read_bytes()))
+    return work, files
+
+
+def _flip(raw, flips):
+    out = bytearray(raw)
+    for pos, byte in flips:
+        out[pos] = byte
+    return bytes(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_bytes_read_or_raise_format_error(valid_files, data):
+    # Random bytes, a truncation, or a few replaced bytes of a valid file.
+    work, files = valid_files
+    reader, raw = data.draw(st.sampled_from(files))
+    fuzzed = data.draw(st.one_of(
+        st.binary(max_size=300),
+        st.integers(0, len(raw) - 1).map(lambda n: raw[:n]),
+        st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
+                 min_size=1, max_size=4).map(lambda flips: _flip(raw, flips)),
+    ))
+    path = work / "fuzzed"
+    path.write_bytes(fuzzed)
+    # A well-formed Kraus file with unphysical numbers is a ChannelError
+    # (test_kraus_json_validation).
+    allowed = (FormatError, ChannelError) if reader is fileio.kraus_from_json else FormatError
+    try:
+        reader(path)
+    except allowed:
+        pass
+
+
+def test_kraus_from_json_restores_gc_state(tmp_path):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    fileio.kraus_to_json(KrausEnsemble.identity(), good)
+    fileio.write_json({"items": [1, 2]}, bad)
+    was_on = gc.isenabled()
+    try:
+        for on in (True, False):
+            (gc.enable if on else gc.disable)()
+            fileio.kraus_from_json(good)
+            assert gc.isenabled() is on
+            with pytest.raises(FormatError):
+                fileio.kraus_from_json(bad)
+            assert gc.isenabled() is on
+    finally:
+        (gc.enable if was_on else gc.disable)()
+
+
+def test_kraus_from_json_runs_no_collection(tmp_path):
+    # The parse makes about 70 000 containers; with the collector on they
+    # would trigger about a hundred collections that free nothing.  Had the
+    # read turned the collector on before freeing them, the next allocation
+    # would start a collection: a few containers made afterwards (well under
+    # the young threshold) check that too.
+    n = 10_000
+    rng = np.random.default_rng(2)
+    jones = np.exp(2j * np.pi * rng.random((n, 2))[:, :, None]) * np.eye(2)
+    path = tmp_path / "big.json"
+    fileio.kraus_to_json(KrausEnsemble(np.full(n, 1.0 / n), jones), path)
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        loaded = fileio.kraus_from_json(path)
+        [[i] for i in range(100)]
+    finally:
+        gc.callbacks.remove(hook)
+    assert gc.isenabled()
+    assert starts == []
+    assert loaded.jones.tobytes() == jones.tobytes()
