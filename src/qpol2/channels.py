@@ -6,7 +6,7 @@ matrix M_ij = (1/2) Tr[sigma_i sum_k U_k sigma_j U_k^dagger], computed from
 the coherency sum_k U_k (x) U_k*.  Every channel mode applies it: linearly
 when one photon crosses (S_out = M S_in, K_out = M K_in), quadratically
 when both cross independent realizations (K_out = M K_in M^T), and through
-the second moment sum_k M(U_k) (x) M(U_k) when both cross the same one.
+the second moment sum_k w_k M(J_k) (x) M(J_k) when both cross the same one.
 """
 
 from dataclasses import dataclass
@@ -165,21 +165,23 @@ def apply_two_photon_independent(ch: KrausEnsemble, rho):
 def apply_two_photon_correlated(ch: KrausEnsemble, rho):
     """Send both photons through the same realization of the channel.
 
-    The Kraus operators are U_k (x) U_k = w_k J_k (x) J_k, so the output is
-    the per-realization congruence sum K_out = sum_k M(U_k) K_in M(U_k)^T,
+    Realization k occurs with probability w_k and applies J_k (x) J_k, so the
+    Kraus operators are sqrt(w_k) J_k (x) J_k and the output is the
+    per-realization congruence sum K_out = sum_k w_k M(J_k) K_in M(J_k)^T,
     renormalized.  It is computed from the second moment
-    S = sum_k M(U_k) (x) M(U_k) (16x16) of the per-path Mueller matrices,
-    which equals Re(Phi G Phi^T) for the coherency-to-Mueller map Phi and the
-    Gram matrix G = sum_k c_k^T c_k of the coherency rows
-    c_k = vec(U_k (x) U_k*), accumulated over chunks of paths.  The weights
-    enter squared: a lossless uniform Pauli ensemble reports transmittance
-    sum_k w_k^2 = 0.25.  This differs from the independent mode for
-    multi-element ensembles (a correlated Pauli ensemble leaves the Bell
-    state untouched, for instance) and is provided as the alternative
-    microscopic model.  Returns (rho_out, transmittance).
+    S = sum_k w_k M(J_k) (x) M(J_k) (16x16) of the per-path Mueller
+    matrices, which equals Re(Phi G Phi^T) for the coherency-to-Mueller map
+    Phi and the Gram matrix G = sum_k c_k^T c_k of the coherency rows
+    c_k = sqrt(w_k) vec(J_k (x) J_k*), accumulated over chunks of paths.  A
+    lossless ensemble reports transmittance 1, however many paths it has.
+    This differs from the independent mode for multi-element ensembles (a
+    correlated Pauli ensemble leaves the Bell state untouched, for instance)
+    and is provided as the alternative microscopic model.  Returns
+    (rho_out, transmittance).
     """
     k = correlation_tensor(rho)
-    u = ch.kraus()
+    # c_k is vec(u_k (x) u_k*) for u_k = w_k^(1/4) J_k.
+    u = np.sqrt(np.sqrt(np.maximum(ch.weights, 0.0)))[:, None, None] * ch.jones
     gram = np.zeros((16, 16), dtype=complex)
     for start in range(0, len(u), _CHUNK):
         chunk = u[start:start + _CHUNK]

@@ -11,6 +11,7 @@ import gc
 import json
 import os
 import struct
+import warnings
 
 import numpy as np
 
@@ -183,8 +184,11 @@ def write_matrix_csv(m, path):
 
 def read_matrix_csv(path) -> np.ndarray:
     try:
-        m = np.loadtxt(path, delimiter=",", dtype=float)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            # loadtxt warns on a file without data; it is malformed like any other.
+            warnings.simplefilter("error", UserWarning)
+            m = np.loadtxt(path, delimiter=",", dtype=float)
+    except (ValueError, UserWarning) as exc:
         raise FormatError(f"{path}: not a numeric CSV matrix ({exc})") from exc
     return _numbers(m, (4, 4), f"{path}: matrix")
 

@@ -223,8 +223,8 @@ def test_two_photon_correlated_matches_same_index_sum():
         rho = random_density(rng)
         out, trans = apply_two_photon_correlated(ch, rho)
         direct = np.zeros((4, 4), dtype=complex)
-        for uk in ch.kraus():
-            big = np.kron(uk, uk)
+        for wk, jk in zip(ch.weights, ch.jones):
+            big = np.sqrt(wk) * np.kron(jk, jk)
             direct += big @ rho @ big.conj().T
         direct_trans = np.trace(direct).real
         assert np.isclose(trans, direct_trans, atol=1e-12)
@@ -241,12 +241,27 @@ def test_two_photon_correlated_sums_across_path_chunks():
     rho = random_density(rng)
     out, trans = apply_two_photon_correlated(ch, rho)
     direct = np.zeros((4, 4), dtype=complex)
-    for uk in ch.kraus():
-        big = np.kron(uk, uk)
+    for wk, jk in zip(ch.weights, ch.jones):
+        big = np.sqrt(wk) * np.kron(jk, jk)
         direct += big @ rho @ big.conj().T
     direct_trans = np.trace(direct).real
     assert np.isclose(trans, direct_trans, atol=1e-12)
     assert np.allclose(out, direct / direct_trans, atol=1e-12)
+
+
+def test_two_photon_correlated_transmittance_ignores_path_count():
+    # Realization k occurs with probability w_k: splitting every path into
+    # two copies of half its weight describes the same channel, and a
+    # lossless uniform Pauli ensemble transmits everything.
+    rng = np.random.default_rng(12)
+    for ch in (random_cptp_ensemble(rng, k=5), KrausEnsemble.pauli([0.25] * 4)):
+        halves = KrausEnsemble(np.repeat(ch.weights, 2) / 2, np.repeat(ch.jones, 2, axis=0))
+        rho = random_density(rng)
+        out, trans = apply_two_photon_correlated(ch, rho)
+        out_halves, trans_halves = apply_two_photon_correlated(halves, rho)
+        assert np.isclose(trans_halves, trans, rtol=1e-12)
+        assert np.allclose(out_halves, out, atol=1e-12)
+    assert np.isclose(trans, 1.0, rtol=1e-12)
 
 
 def test_correlated_pauli_channel_preserves_bell_state():

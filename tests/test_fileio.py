@@ -3,6 +3,7 @@
 import gc
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,15 @@ def test_matrix_csv_validation(tmp_path):
     text.write_text("a,b,c,d\n" * 4)
     with pytest.raises(FormatError):
         fileio.read_matrix_csv(text)
+
+
+def test_empty_matrix_csv_raises_format_error_without_warning(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError):
+            fileio.read_matrix_csv(path)
 
 
 def test_counts_csv_roundtrip(tmp_path):

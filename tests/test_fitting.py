@@ -25,6 +25,7 @@ from conftest import (
     K_BELL,
     PAULI_SIGNS,
     random_cp_diagonal,
+    random_cptp_ensemble,
     random_density,
     random_product_density,
     random_realizable_mueller,
@@ -282,6 +283,61 @@ def test_fit_general_bell_plus_product_converges():
     fit = fit_general(pairs, seed=4)
     assert fit.converged
     assert fit.residual < 1e-12
+
+
+def tomography_pairs(rng, ch, inputs, n_pairs, noisy):
+    """(K_in, K_out) of each input state sent through ``ch`` with independent
+    realizations, the output read back by 36-setting tomography."""
+    pairs = []
+    for i, rho in enumerate(inputs):
+        out, _ = qpol2.apply_two_photon_independent(ch, rho)
+        counts = qpol2.simulate_counts(out, n_pairs, seed=i, noisy=noisy)
+        pairs.append((correlation_tensor(rho),
+                      correlation_tensor(qpol2.reconstruct(counts))))
+    return pairs
+
+
+def test_fit_general_closed_form_for_exact_three_inputs():
+    # Exact data from a Bell tensor plus two product inputs fix M in closed
+    # form; the polish from it takes a few steps and no random start runs.
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            m_true = random_realizable_mueller(rng)
+            k_ins = [K_BELL, product_tensor(rng), product_tensor(rng)]
+            pairs = [(k, m_true @ k @ m_true.T) for k in k_ins]
+        else:  # counts of 1e12 pairs per setting, rounded to integers
+            inputs = [bell_state()] + [random_product_density(rng) for _ in range(2)]
+            pairs = tomography_pairs(rng, random_cptp_ensemble(rng), inputs, 10**12, False)
+        fit = fit_general(pairs, seed=seed)
+        assert fit.converged
+        assert fit.iterations < 10
+        assert fit.residual <= scipy_general_residual(pairs, seed=seed) * (1 + 1e-9) + 1e-13
+
+
+def test_fit_general_inexact_pairs_run_the_random_starts():
+    # Noisy three-input data and Bell plus one product input do not take the
+    # closed form: the fit is bitwise the random-start fit.
+    for seed in range(6):
+        rng = np.random.default_rng(100 + seed)
+        ch = random_cptp_ensemble(rng)
+        inputs = [bell_state()] + [random_product_density(rng) for _ in range(2)]
+        pairs = tomography_pairs(rng, ch, inputs, 10**4, True)
+        if seed % 3 == 1:  # symmetric noise of sd 1e-6 per entry on exact data
+            m_true = random_realizable_mueller(rng)
+            e = rng.normal(0.0, 1e-6, size=(3, 4, 4))
+            e[:, 0, 0] = 0.0
+            pairs = [(k, m_true @ k @ m_true.T + (ek + ek.T) / np.sqrt(2.0))
+                     for (k, _), ek in zip(pairs, e)]
+        elif seed % 3 == 2:  # exact Bell plus one product input
+            pairs = tomography_pairs(rng, ch, inputs[:2], 10**12, False)
+        fit = fit_general(pairs, seed=seed)
+        ref = qpol2.fitting._random_start_fit(qpol2.fitting._Congruence(pairs), 20, seed,
+                                              None)
+        assert np.array_equal(fit.params, ref.params)
+        assert (fit.residual, fit.iterations, fit.converged) == (
+            ref.residual, ref.iterations, ref.converged)
+        assert fit.iterations > 20
 
 
 def test_fit_general_non_realizable_input_keeps_step_budget():
