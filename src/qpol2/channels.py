@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ChannelError, NotCompletelyPositiveError, UnphysicalStateError
-from .polarization import (PAULI, check_density, correlation_tensor, density_to_stokes,
-                           stokes_to_density, tensor_to_density)
+from .polarization import (PAULI, _physical_state, check_density, correlation_tensor,
+                           density_to_stokes)
 
 __all__ = [
     "KrausEnsemble",
@@ -116,16 +116,12 @@ def _mueller(u):
 
 
 def _output_state(out):
-    """(rho, transmittance) of an unnormalized output Stokes vector or tensor."""
+    """(rho, transmittance) of an unnormalized output Stokes vector or tensor, with
+    rho projected onto the physical set as a reconstructed state is."""
     trans = out.flat[0]
     if trans <= 1e-15:
         raise ChannelError("channel annihilates state")
-    out = out / trans
-    if out.ndim == 2:
-        return tensor_to_density(out), trans
-    # Rounding in s_out0 (~1e-16) can lift a faint, nearly pure output's DoP past 1.
-    out[1:] /= max(1.0, np.linalg.norm(out[1:]))
-    return stokes_to_density(out), trans
+    return _physical_state(out / trans), trans
 
 
 def apply_one_photon(ch: KrausEnsemble, rho, arm="none"):

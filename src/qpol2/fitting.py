@@ -488,15 +488,11 @@ def stabilizer_dimension(tensors) -> StabilizerReport:
     op = np.eye(4).ravel() @ (q + q.transpose(0, 2, 1))
     _, sing, vt = np.linalg.svd(op)
     dim = int(np.sum(sing < _NULL_SPACE_REL_TOL * sing[0]))
-    if dim:
-        generators = vt[16 - dim:].reshape(dim, 4, 4).copy()
-    else:
-        generators = np.zeros((0, 4, 4))
     return StabilizerReport(
         tensors=tuple(tensors),
         lie_algebra_dim=dim,
         identifiable=(dim == 0),
-        generators=generators,
+        generators=vt[16 - dim:].reshape(dim, 4, 4).copy(),
     )
 
 

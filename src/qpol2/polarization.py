@@ -113,6 +113,17 @@ def tensor_to_density(k) -> np.ndarray:
     return rho
 
 
+def _physical_state(s) -> np.ndarray:
+    """Density matrix of a Stokes vector or correlation tensor with first entry 1,
+    with negative eigenvalues clipped to 0 and the trace restored to 1."""
+    rho = (0.5 * np.einsum("i,iab->ab", s, PAULI) if s.ndim == 1
+           else 0.25 * np.einsum("ij,ijab->ab", s, _PAULI2))
+    lam, vec = np.linalg.eigh(rho)
+    lam = np.clip(lam, 0.0, None)
+    lam /= lam.sum()
+    return (vec * lam) @ vec.conj().T
+
+
 def check_density(rho, dim=None) -> np.ndarray:
     """Validate Hermiticity, unit trace, and positivity of a density matrix.
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import TomographyError
-from .polarization import _PAULI2, PAULI, check_density
+from .polarization import PAULI, _physical_state, check_density
 
 __all__ = [
     "ANALYZERS",
@@ -119,12 +119,7 @@ def reconstruct(counts) -> np.ndarray:
     k = k.reshape(4, 4)
     if k[0, 0] <= 0:
         raise TomographyError("reconstructed intensity is not positive")
-    k = k / k[0, 0]
-    rho = 0.25 * np.einsum("ij,ijab->ab", k, _PAULI2)
-    lam, vec = np.linalg.eigh(rho)
-    lam = np.clip(lam, 0.0, None)
-    lam /= lam.sum()
-    return (vec * lam) @ vec.conj().T
+    return _physical_state(k / k[0, 0])
 
 
 def fidelity(rho_a, rho_b) -> float:

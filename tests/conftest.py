@@ -115,3 +115,22 @@ def concurrence_state(c):
     psi[1] = math.cos(alpha)
     psi[2] = math.sin(alpha)
     return np.outer(psi, psi.conj())
+
+
+def faint_polarizer_case(rng):
+    """(polarizer, pair) with the pair nearly orthogonal to the polarizer.
+
+    The polarizer |p><p| sits at a random linear angle; each photon is
+    |p_perp> + eps * noise, normalized, with eps in 10^[-3.5, -1.5], so the
+    pair transmittance through both arms is about 1e-14 to 1e-6.
+    """
+    theta = rng.uniform(0.0, math.pi)
+    p = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
+    kets = []
+    for _ in range(2):
+        noise = rng.normal(size=2) + 1j * rng.normal(size=2)
+        ket = np.array([-p[1], p[0]]) + 10 ** rng.uniform(-3.5, -1.5) * noise
+        kets.append(ket / np.linalg.norm(ket))
+    psi = np.kron(*kets)
+    polarizer = qpol2.KrausEnsemble(np.array([1.0]), np.outer(p, p.conj())[None])
+    return polarizer, np.outer(psi, psi.conj())

@@ -14,9 +14,11 @@ from qpol2 import (
     apply_two_photon_correlated,
     apply_two_photon_independent,
     bell_state,
+    check_density,
     compose,
     correlation_tensor,
     kraus_from_diagonal_mueller,
+    metrics_report,
     mueller_from_kraus,
     mueller_maps_physical,
     normalize_mueller,
@@ -24,6 +26,7 @@ from qpol2 import (
 )
 from conftest import (
     K_BELL,
+    faint_polarizer_case,
     random_cptp_ensemble,
     random_density,
     random_product_density,
@@ -50,6 +53,8 @@ def test_ensemble_validation():
         KrausEnsemble(np.array([1.0]), np.full((1, 2, 2), np.nan))
     with pytest.raises(ChannelError):
         KrausEnsemble(np.zeros(0), np.zeros((0, 2, 2)))  # no paths
+    with pytest.raises(ChannelError, match="channel has zero transmittance"):
+        mueller_from_kraus(KrausEnsemble(np.array([0.5, 0.5]), np.zeros((2, 2, 2))))
 
 
 def test_weight_just_below_zero_counts_as_zero():
@@ -186,6 +191,24 @@ def test_polarizer_annihilates_orthogonal_state():
         out, trans = apply_one_photon(KrausEnsemble(np.array([1.0]), p[None]), rho)
         assert np.isclose(trans, 1e-8, rtol=1e-6)
         assert np.allclose(out, p, atol=1e-6)
+
+
+@pytest.mark.parametrize("apply", [
+    apply_two_photon_independent,
+    apply_two_photon_correlated,
+    lambda ch, rho: apply_one_photon(ch, rho, arm="first"),
+], ids=["independent", "correlated", "one-photon"])
+def test_faint_outputs_are_physical_states(apply):
+    # Rounding leaves eigenvalues near -1e-16 / T in an output of
+    # transmittance T (here down to 1e-14); every output is projected onto
+    # the physical set, silently, so the metrics accept it.
+    for seed in range(100):
+        ch, rho = faint_polarizer_case(np.random.default_rng(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, _ = apply(ch, rho)
+        check_density(out)
+        metrics_report(out, rho)
 
 
 def test_two_photon_independent_matches_double_sum():

@@ -23,7 +23,8 @@ from qpol2 import (
     kraus_from_diagonal_mueller,
     propagate_tensor,
 )
-from conftest import K_BELL, MALFORMED_KRAUS_ITEMS, STRING_DENSITY, concurrence_state
+from conftest import (K_BELL, MALFORMED_KRAUS_ITEMS, STRING_DENSITY, concurrence_state,
+                      faint_polarizer_case)
 
 
 def run(capsys, *argv):
@@ -299,6 +300,47 @@ def test_propagate_opp_mode(capsys, tmp_path):
     metrics = fileio.read_json(f"{prefix}.metrics.json")
     assert np.isclose(metrics["purity"], 0.4375, atol=1e-12)
     assert np.isclose(metrics["dephasing"], 0.5, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode, purity, concurrence", [
+    ("tpp-correlated", 1.0, 1.0),
+    ("tpp-independent", 0.25, 0.0),
+])
+def test_propagate_uniform_pauli_ensemble(capsys, tmp_path, mode, purity, concurrence):
+    # The mean Mueller matrix is diag(1, 0, 0, 0) in both modes; only the
+    # second moment tells them apart.  Both photons crossing the same Pauli
+    # keep the Bell state, independent Paulis leave the maximally mixed one.
+    state = tmp_path / "bell.json"
+    fileio.density_to_json(bell_state(), state)
+    channel = tmp_path / "pauli.json"
+    fileio.kraus_to_json(qpol2.KrausEnsemble.pauli([0.25] * 4), channel)
+    prefix = str(tmp_path / "out")
+    code, _, _ = run(
+        capsys, "propagate", "--state", str(state), "--channel", str(channel),
+        "--mode", mode, "--out", prefix,
+    )
+    assert code == 0
+    metrics = fileio.read_json(f"{prefix}.metrics.json")
+    assert np.isclose(metrics["purity"], purity, atol=1e-12)
+    assert np.isclose(metrics["concurrence"], concurrence, atol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["opp", "tpp-independent", "tpp-correlated"])
+def test_propagate_faint_output(capsys, tmp_path, mode):
+    # A pair nearly orthogonal to a polarizer: the output's rounding-level
+    # negative eigenvalues are projected away, and the run succeeds.
+    ch, rho = faint_polarizer_case(np.random.default_rng(65))
+    state, channel = tmp_path / "faint.json", tmp_path / "polarizer.json"
+    fileio.density_to_json(rho, state)
+    fileio.kraus_to_json(ch, channel)
+    prefix = str(tmp_path / "out")
+    code, out, err = run(
+        capsys, "propagate", "--state", str(state), "--channel", str(channel),
+        "--mode", mode, "--out", prefix,
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("concurrence=")
+    qpol2.check_density(fileio.density_from_json(f"{prefix}.state.json"), dim=4)
 
 
 def test_propagate_file_errors(capsys, tmp_path):

@@ -119,6 +119,8 @@ def test_fit_diagonal_validation():
         fit_diagonal(2 * K_BELL, K_BELL)  # K00 != 1
     with pytest.raises(ValueError):
         fit_diagonal(np.eye(3), np.eye(3))
+    with pytest.raises(ValueError, match="correlation tensors must be finite"):
+        fit_diagonal(K_BELL, np.full((4, 4), np.nan))
 
 
 def test_fit_diagonal_residual_tolerance_gates_convergence():
@@ -206,6 +208,10 @@ def test_fit_general_validation():
         fit_general([(2 * K_BELL, K_BELL)])
     with pytest.raises(ValueError):
         fit_general([(K_BELL, K_BELL)] * 2, n_starts=0)
+    k_inf = K_BELL.copy()
+    k_inf[1, 2] = np.inf
+    with pytest.raises(ValueError, match="correlation tensors must be finite"):
+        fit_general([(K_BELL, K_BELL), (k_inf, K_BELL)])
 
 
 def scipy_general_residual(pairs, n_starts=20, seed=0):
@@ -317,13 +323,20 @@ def test_fit_general_closed_form_for_exact_three_inputs():
 
 def test_fit_general_inexact_pairs_run_the_random_starts():
     # Noisy three-input data and Bell plus one product input do not take the
-    # closed form: the fit is bitwise the random-start fit.
-    for seed in range(6):
+    # closed form, and for a mixed third input or a singular output tensor it
+    # returns None: the fit is bitwise the random-start fit.
+    for seed in range(8):
         rng = np.random.default_rng(100 + seed)
         ch = random_cptp_ensemble(rng)
         inputs = [bell_state()] + [random_product_density(rng) for _ in range(2)]
         pairs = tomography_pairs(rng, ch, inputs, 10**4, True)
-        if seed % 3 == 1:  # symmetric noise of sd 1e-6 per entry on exact data
+        if seed == 6:  # exact data on a mixed (rank > 1) third input
+            inputs[2] = random_density(rng)
+            pairs = tomography_pairs(rng, ch, inputs, 10**12, False)
+        elif seed == 7:  # exact data from the complete depolarizer diag(1, 0, 0, 0)
+            m0 = np.diag([1.0, 0.0, 0.0, 0.0])
+            pairs = [(k, m0 @ k @ m0.T) for k, _ in pairs]
+        elif seed % 3 == 1:  # symmetric noise of sd 1e-6 per entry on exact data
             m_true = random_realizable_mueller(rng)
             e = rng.normal(0.0, 1e-6, size=(3, 4, 4))
             e[:, 0, 0] = 0.0
@@ -331,9 +344,11 @@ def test_fit_general_inexact_pairs_run_the_random_starts():
                      for (k, _), ek in zip(pairs, e)]
         elif seed % 3 == 2:  # exact Bell plus one product input
             pairs = tomography_pairs(rng, ch, inputs[:2], 10**12, False)
+        problem = qpol2.fitting._Congruence(pairs)
+        if seed >= 6:
+            assert qpol2.fitting._closed_form_start(problem.k_in, problem.k_out) is None
         fit = fit_general(pairs, seed=seed)
-        ref = qpol2.fitting._random_start_fit(qpol2.fitting._Congruence(pairs), 20, seed,
-                                              None)
+        ref = qpol2.fitting._random_start_fit(problem, 20, seed, None)
         assert np.array_equal(fit.params, ref.params)
         assert (fit.residual, fit.iterations, fit.converged) == (
             ref.residual, ref.iterations, ref.converged)
