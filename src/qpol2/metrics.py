@@ -135,10 +135,11 @@ def purity_sensitivity(m, dm_deta, mode) -> float:
 
 
 def metrics_report(rho_out, rho_in=None) -> MetricsReport:
-    """Bundle concurrence, purity, entropy, and (if possible) dephasing."""
-    dep = None
-    if rho_in is not None and abs(np.asarray(rho_in)[1, 2]) >= 1e-15:
-        dep = dephasing_strength(rho_out, rho_in)
+    """Bundle concurrence, purity, entropy, and (if rho_in is coherent) dephasing."""
+    try:
+        dep = None if rho_in is None else dephasing_strength(rho_out, rho_in)
+    except ValueError:  # rho_in carries no HV/VH coherence
+        dep = None
     return MetricsReport(
         concurrence=concurrence(rho_out),
         purity=purity(rho_out),

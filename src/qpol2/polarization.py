@@ -78,7 +78,7 @@ def stokes_to_density(s) -> np.ndarray:
         s = normalize_stokes(s)
     if degree_of_polarization(s) > 1 + 1e-12:
         raise UnphysicalStateError("degree of polarization exceeds 1")
-    return 0.5 * np.einsum("i,iab->ab", s, PAULI)
+    return _pauli_expansion(s)
 
 
 def density_to_stokes(rho) -> np.ndarray:
@@ -106,19 +106,23 @@ def tensor_to_density(k) -> np.ndarray:
         raise ValueError("correlation tensor must be 4x4")
     if abs(k[0, 0] - 1.0) > 1e-10:
         raise UnphysicalStateError("correlation tensor must have K00 = 1")
-    rho = 0.25 * np.einsum("ij,ijab->ab", k, _PAULI2)
+    rho = _pauli_expansion(k)
     if np.linalg.eigvalsh(rho).min() < PSD_TOL:
         warnings.warn("unphysical tensor: density matrix has a negative eigenvalue",
                       stacklevel=2)
     return rho
 
 
+def _pauli_expansion(s) -> np.ndarray:
+    """Stokes vector or correlation tensor s expanded in (two-photon) Pauli products."""
+    return (0.5 * np.einsum("i,iab->ab", s, PAULI) if s.ndim == 1
+            else 0.25 * np.einsum("ij,ijab->ab", s, _PAULI2))
+
+
 def _physical_state(s) -> np.ndarray:
     """Density matrix of a Stokes vector or correlation tensor with first entry 1,
     with negative eigenvalues clipped to 0 and the trace restored to 1."""
-    rho = (0.5 * np.einsum("i,iab->ab", s, PAULI) if s.ndim == 1
-           else 0.25 * np.einsum("ij,ijab->ab", s, _PAULI2))
-    lam, vec = np.linalg.eigh(rho)
+    lam, vec = np.linalg.eigh(_pauli_expansion(s))
     lam = np.clip(lam, 0.0, None)
     lam /= lam.sum()
     return (vec * lam) @ vec.conj().T

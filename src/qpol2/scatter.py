@@ -108,9 +108,7 @@ def sample_hg(g, xi):
         return 1.0 - 2.0 * xi
     frac = (1.0 - g * g) / (1.0 - g + 2.0 * g * xi)
     ct = (1.0 + g * g - frac * frac) / (2.0 * g)
-    if isinstance(ct, np.ndarray):
-        return np.clip(ct, -1.0, 1.0)
-    return min(1.0, max(-1.0, ct))
+    return np.clip(ct, -1.0, 1.0)
 
 
 def _seed_key(seed) -> int:

@@ -26,6 +26,7 @@ from qpol2 import (
 )
 from conftest import (
     K_BELL,
+    PAULI_SIGNS,
     faint_polarizer_case,
     random_cptp_ensemble,
     random_density,
@@ -298,6 +299,42 @@ def test_correlated_pauli_channel_preserves_bell_state():
     assert np.allclose(out_ind, np.eye(4) / 4, atol=1e-14)
 
 
+def test_correlated_mode_sees_the_pauli_decomposition():
+    """kraus_from_diagonal_mueller builds its Kraus operators from the Pauli
+    sign table, not from an eigendecomposition of the Cloude coherency H.
+
+    The correlated mode depends on the decomposition, not only on M.  With
+    degenerate Pauli weights (an isotropic depolarizer), eigh may return any
+    basis of the degenerate eigenspace: every such basis gives the same M,
+    but only the Pauli operators act on |Psi+> as a phase and keep it pure.
+    """
+    bell = bell_state()
+    psi = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
+    grid = np.linspace(0.0, 1.0, 5)
+    diagonals = [d for d in np.array(np.meshgrid(grid, grid, grid)).reshape(3, -1).T
+                 if ((1 + PAULI_SIGNS @ d) / 4).min() >= 0]
+    assert any(len(set(d)) == 1 for d in diagonals)
+    assert any(len(set(d)) == 3 for d in diagonals)
+    for d in diagonals:
+        out, trans = apply_two_photon_correlated(kraus_from_diagonal_mueller(*d), bell)
+        assert abs(psi @ out @ psi - 1.0) <= 1e-12, d
+        assert np.isclose(trans, 1.0, rtol=1e-12)
+
+    # A unitary mix of the three degenerate Pauli operators at m = 0.5: the
+    # same channel, but |Psi+> comes out mixed.
+    pauli = kraus_from_diagonal_mueller(0.5, 0.5, 0.5)
+    rng = np.random.default_rng(5)
+    v, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    kraus = pauli.kraus()
+    mixed = np.concatenate([kraus[:1], np.einsum("jk,kab->jab", v, kraus[1:])])
+    w = np.einsum("kab,kab->k", mixed, mixed.conj()).real / 2
+    rotated = KrausEnsemble(w, mixed / np.sqrt(w)[:, None, None])
+    assert np.allclose(mueller_from_kraus(rotated)[0], mueller_from_kraus(pauli)[0],
+                       atol=1e-14)
+    out, _ = apply_two_photon_correlated(rotated, bell)
+    assert np.einsum("ab,ba->", out, out).real < 0.99
+
+
 # ---------------------------------------------------------- Mueller matrix
 
 def test_mueller_identity_channel():
@@ -462,7 +499,50 @@ def test_mueller_maps_physical():
     assert mueller_maps_physical(np.eye(4))
     assert mueller_maps_physical(np.diag([1.0, 0.5, 0.5, 0.5]))
     assert not mueller_maps_physical(np.diag([1.0, 1.2, 0.0, 0.0]))
-    for seed in range(10):
+    polarizer = 0.5 * np.outer([1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0])
+    assert mueller_maps_physical(polarizer)
+    # None of these raises the DoP |s_out| / S0_out of a pure input above 1,
+    # yet none is CP: the transpose map's coherency has the eigenvalue -1,
+    # and the other two give negative intensity.
+    assert not mueller_maps_physical(np.diag([1.0, 1.0, 1.0, -1.0]))
+    assert not mueller_maps_physical(-np.eye(4))
+    assert not mueller_maps_physical(-polarizer)
+    nan_entry = np.eye(4)
+    nan_entry[2, 3] = np.nan
+    assert not mueller_maps_physical(nan_entry)
+    assert not mueller_maps_physical(np.diag([1.0, np.inf, 0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not mueller_maps_physical(np.zeros((4, 4)))
+    # The test is scale-free in M00.
+    assert mueller_maps_physical(0.3 * np.diag([1.0, 0.5, 0.5, 0.5]))
+
+
+def test_mueller_maps_physical_signature():
+    # tol is keyword-only, so an old positional sample count cannot bind to it.
+    with pytest.raises(TypeError):
+        mueller_maps_physical(np.diag([1.0, 1.0, 1.0, -1.0]), 200)
+    assert not mueller_maps_physical(np.diag([1.0, 1.0, 1.0, -1.0]), tol=1e-3)
+    assert mueller_maps_physical(np.diag([1.0, 1.0, 1.0, -1.0]), tol=2.0)
+    with pytest.raises(ValueError):
+        mueller_maps_physical(np.eye(3))
+    with pytest.raises(ValueError):
+        mueller_maps_physical(np.ones(16))
+
+
+def test_mueller_maps_physical_accepts_cptp_ensembles():
+    for seed in range(500):
         rng = np.random.default_rng(seed)
-        m, _ = mueller_from_kraus(random_cptp_ensemble(rng, k=3))
-        assert mueller_maps_physical(m)
+        m, _ = mueller_from_kraus(random_cptp_ensemble(rng, k=int(rng.integers(1, 5))))
+        assert mueller_maps_physical(m), seed
+
+
+def test_mueller_maps_physical_matches_pauli_weights_on_diagonals():
+    # For diag(1, m) the coherency eigenvalues are twice the four Pauli
+    # weights (1 + PAULI_SIGNS @ m)/4, an independent closed form.
+    rng = np.random.default_rng(23)
+    diagonals = rng.uniform(-1.0, 1.0, size=(1000, 3))
+    cp = ((1 + diagonals @ PAULI_SIGNS.T) / 4 >= -1e-10).all(axis=1)
+    got = [mueller_maps_physical(np.diag(np.concatenate([[1.0], d]))) for d in diagonals]
+    assert np.array_equal(got, cp)
+    assert 0 < cp.sum() < len(cp)

@@ -188,6 +188,14 @@ def test_metrics_report_without_reference_input():
     assert rep.dephasing is None
 
 
+def test_metrics_report_rejects_unphysical_reference():
+    # An invalid rho_in is an error, even one without HV/VH coherence, which
+    # alone would leave dephasing undefined.
+    for rho_in in (np.zeros((4, 4)), np.eye(4) / 2, np.eye(2) / 2):
+        with pytest.raises(UnphysicalStateError):
+            metrics_report(bell_state(), rho_in)
+
+
 def test_entropy_rejects_unphysical_input():
     with pytest.raises(UnphysicalStateError):
         von_neumann_entropy(np.diag([1.5, -0.5]))
