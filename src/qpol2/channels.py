@@ -32,7 +32,7 @@ __all__ = [
 
 _WEIGHT_SUM_TOL = 1e-10
 _TRACE_COND_TOL = 1e-8
-_CHUNK = 4096  # paths per block of the correlated mode's coherency Gram matrix
+_CHUNK = 4096  # paths per block of the correlated mode's real coherency Gram matrix
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,18 @@ class KrausEnsemble:
 _T = np.array([s.T.ravel() for s in PAULI])
 _COHERENCY_TO_MUELLER = 0.5 * np.kron(_T, _T.conj())
 
+# For v = vec(U), vec(C) holds v_i v_j* at _VEC[i, j]: read through _VEC it is the
+# Hermitian v v^H, whose 16 real coordinates are h = (|v_i|^2, Re v_i v_j*, Im v_i v_j*
+# for i < j).  vec M(U) = Re(_COHERENCY_TO_MUELLER @ vec(C)) is the real map
+# _HERMITIAN_TO_MUELLER @ h.
+_IU, _JU = np.triu_indices(4, 1)
+_VEC = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+_upper = _COHERENCY_TO_MUELLER[:, _VEC[_IU, _JU]]
+_lower = _COHERENCY_TO_MUELLER[:, _VEC[_JU, _IU]]
+_HERMITIAN_TO_MUELLER = np.hstack([_COHERENCY_TO_MUELLER[:, np.diag(_VEC)],
+                                   _upper + _lower, 1j * (_upper - _lower)]).real
+del _upper, _lower
+
 
 def _mueller(u):
     """Unnormalized Mueller matrix sum_k M(U_k) of Kraus operators u (K, 2, 2), from
@@ -166,25 +178,35 @@ def apply_two_photon_correlated(ch: KrausEnsemble, rho):
     per-realization congruence sum K_out = sum_k w_k M(J_k) K_in M(J_k)^T,
     renormalized.  It is computed from the second moment
     S = sum_k w_k M(J_k) (x) M(J_k) (16x16) of the per-path Mueller
-    matrices, which equals Re(Phi G Phi^T) for the coherency-to-Mueller map
-    Phi and the Gram matrix G = sum_k c_k^T c_k of the coherency rows
-    c_k = sqrt(w_k) vec(J_k (x) J_k*), accumulated over chunks of paths.  A
-    lossless ensemble reports transmittance 1, however many paths it has.
-    This differs from the independent mode for multi-element ensembles (a
-    correlated Pauli ensemble leaves the Bell state untouched, for instance)
-    and is provided as the alternative microscopic model.  Returns
-    (rho_out, transmittance T), rho_out accurate to about 1e-16 / T.
+    matrices, built from a real Gram matrix of 16 coherency coordinates per
+    path.  A lossless ensemble reports transmittance 1, however many paths
+    it has.  This differs from the independent mode for multi-element
+    ensembles (a correlated Pauli ensemble leaves the Bell state untouched,
+    for instance) and is provided as the alternative microscopic model.
+    Returns (rho_out, transmittance T), rho_out accurate to about 1e-16 / T.
     """
     k = correlation_tensor(rho)
-    # c_k is vec(u_k (x) u_k*) for u_k = w_k^(1/4) J_k.
-    u = np.sqrt(np.sqrt(np.maximum(ch.weights, 0.0)))[:, None, None] * ch.jones
-    gram = np.zeros((16, 16), dtype=complex)
-    for start in range(0, len(u), _CHUNK):
-        chunk = u[start:start + _CHUNK]
-        c = (chunk[:, :, None, :, None] * chunk.conj()[:, None, :, None, :]).reshape(-1, 16)
-        gram += c.T @ c
-    s = (_COHERENCY_TO_MUELLER @ gram @ _COHERENCY_TO_MUELLER.T).real
+    s = _second_moment(ch)
     return _output_state(np.einsum("iajb,ab->ij", s.reshape(4, 4, 4, 4), k))
+
+
+def _second_moment(ch: KrausEnsemble):
+    """Return S = sum_k w_k vec M(J_k) vec M(J_k)^T (16x16).
+
+    For u_k = w_k^(1/4) J_k, vec M(u_k) = R h_k with R = _HERMITIAN_TO_MUELLER and
+    h_k the 16 real coordinates of vec(u_k) vec(u_k)^H, so S = R (sum_k h_k h_k^T) R^T;
+    the real Gram matrix is summed over blocks of _CHUNK paths.
+    """
+    q = np.sqrt(np.sqrt(np.maximum(ch.weights, 0.0)))
+    gram = np.zeros((16, 16))
+    for start in range(0, len(q), _CHUNK):
+        # Column k of v is vec(u_k), row-major.
+        v = ch.jones[start:start + _CHUNK].reshape(-1, 4).T * q[start:start + _CHUNK]
+        vc = v.conj()
+        p = v[_IU] * vc[_JU]
+        h = np.concatenate([(v * vc).real, p.real, p.imag])
+        gram += h @ h.T
+    return _HERMITIAN_TO_MUELLER @ gram @ _HERMITIAN_TO_MUELLER.T
 
 
 def mueller_from_kraus(ch: KrausEnsemble):
@@ -201,9 +223,16 @@ def mueller_from_kraus(ch: KrausEnsemble):
 
 
 def propagate_tensor(m, k_in) -> np.ndarray:
-    """Evolve a correlation tensor through the congruence K_out = M K_in M^T."""
+    """Evolve a correlation tensor through the congruence K_out = M K_in M^T.
+
+    ``m`` and ``k_in`` must be finite 4x4 matrices and M00 = 1 (ValueError).
+    """
     m = np.asarray(m, dtype=float)
     k_in = np.asarray(k_in, dtype=float)
+    if m.shape != (4, 4) or k_in.shape != (4, 4):
+        raise ValueError("Mueller matrix and correlation tensor must be 4x4")
+    if not (np.isfinite(m).all() and np.isfinite(k_in).all()):
+        raise ValueError("Mueller matrix and correlation tensor must be finite")
     if abs(m[0, 0] - 1.0) > 1e-10:
         raise ValueError("Mueller matrix must be normalized to M00 = 1")
     return m @ k_in @ m.T
@@ -218,7 +247,7 @@ def kraus_from_diagonal_mueller(m11, m22, m33) -> KrausEnsemble:
     All must be nonnegative for the map to be completely positive.
     """
     m = np.array([m11, m22, m33], dtype=float)
-    if m.min() < 0 or m.max() > 1:
+    if not (m.min() >= 0 and m.max() <= 1):  # NaN fails both comparisons
         raise ValueError("diagonal entries must lie in [0, 1]")
     signs = np.array(
         [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
@@ -240,8 +269,11 @@ def compose(ch1: KrausEnsemble, ch2: KrausEnsemble) -> KrausEnsemble:
 
 
 def normalize_mueller(m) -> np.ndarray:
-    """Scale a Mueller matrix so that M_00 = 1."""
+    """Scale a Mueller matrix so that M_00 = 1; a non-finite entry or M_00 <= 0 is a
+    ValueError."""
     m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise ValueError("Mueller matrix entries must be finite")
     if m[0, 0] <= 0:
         raise ValueError("Mueller matrix must have M00 > 0")
     return m / m[0, 0]
@@ -261,5 +293,5 @@ def mueller_maps_physical(m, *, tol=1e-10) -> bool:
     if not (np.isfinite(m).all() and m[0, 0] > 0):
         return False
     c = _COHERENCY_TO_MUELLER.conj().T @ (m / m[0, 0]).ravel()
-    h = c.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    h = c[_VEC]
     return bool(np.linalg.eigvalsh(h).min() >= -tol)

@@ -520,7 +520,11 @@ def reconstruct_image(k_in, pixel_tensors, model="diagonal") -> PixelMap:
 
 
 def mueller_similarity(m_a, m_b) -> float:
-    """Normalized Frobenius agreement 1 - |A - B| / (|A| + |B|), in [0, 1]."""
+    """Normalized Frobenius agreement 1 - |A - B| / (|A| + |B|), in [0, 1]; two zero
+    matrices agree exactly (1.0)."""
     m_a = np.asarray(m_a, dtype=float)
     m_b = np.asarray(m_b, dtype=float)
-    return float(1.0 - np.linalg.norm(m_a - m_b) / (np.linalg.norm(m_a) + np.linalg.norm(m_b)))
+    scale = np.linalg.norm(m_a) + np.linalg.norm(m_b)
+    if scale == 0:
+        return 1.0
+    return float(1.0 - np.linalg.norm(m_a - m_b) / scale)

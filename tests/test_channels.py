@@ -273,6 +273,66 @@ def test_two_photon_correlated_sums_across_path_chunks():
     assert np.allclose(out, direct / direct_trans, atol=1e-12)
 
 
+def random_lossy_ensemble(rng, k):
+    """k random Jones matrices with unequal weights, scaled so that the largest
+    eigenvalue of sum_k U_k^dagger U_k lies in [0.3, 1): a lossy channel."""
+    jones = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+    w = rng.random(k) ** 3
+    w /= w.sum()
+    gain = np.linalg.eigvalsh(np.einsum("k,kba,kbc->ac", w, jones.conj(), jones)).max()
+    return KrausEnsemble(w, jones * np.sqrt(rng.uniform(0.3, 1.0) / gain))
+
+
+def per_path_mueller(jones):
+    """M(J_k)_ij = (1/2) Tr[sigma_i J_k sigma_j J_k^dagger] for every path, (K, 4, 4)."""
+    return 0.5 * np.einsum("iab,kbc,jcd,kad->kij", qpol2.polarization.PAULI, jones,
+                           qpol2.polarization.PAULI, jones.conj(), optimize=True).real
+
+
+def test_second_moment_matches_per_path_mueller_matrices():
+    # S = sum_k w_k vec M(J_k) vec M(J_k)^T from explicit per-path Mueller
+    # matrices, for lossy ensembles with unequal weights, one of them
+    # spanning two full blocks of paths and a partial one.
+    rng = np.random.default_rng(25)
+    for k in (1, 2, 5, 300, 2 * qpol2.channels._CHUNK + 7):
+        ch = random_lossy_ensemble(rng, k)
+        vec_m = per_path_mueller(ch.jones).reshape(k, 16)
+        direct = np.einsum("k,kx,ky->xy", ch.weights, vec_m, vec_m)
+        s = qpol2.channels._second_moment(ch)
+        assert np.abs(s - direct).max() <= 1e-13
+
+
+def test_two_photon_correlated_ignores_chunk_size(monkeypatch):
+    # _CHUNK bounds the working set only: one path per block, a block size
+    # that does not divide K, the default and one block give the same output.
+    rng = np.random.default_rng(26)
+    ch = random_lossy_ensemble(rng, qpol2.channels._CHUNK + 5)
+    rho = random_density(rng)
+    outputs = []
+    for chunk in (1, 7, qpol2.channels._CHUNK, ch.weights.size + 1):
+        monkeypatch.setattr(qpol2.channels, "_CHUNK", chunk)
+        outputs.append(apply_two_photon_correlated(ch, rho))
+    for out, trans in outputs[1:]:
+        assert np.abs(out - outputs[0][0]).max() <= 1e-15
+        assert abs(trans - outputs[0][1]) <= 1e-15
+
+
+def test_hermitian_coordinates_map_exactly_to_mueller():
+    # vec M(v) = R h(v), h = (|v_i|^2, Re v_i v_j*, Im v_i v_j* for i < j) of
+    # v = vec(J), row-major; R is real and placed from the coherency map.
+    rng = np.random.default_rng(27)
+    jones = rng.normal(size=(1000, 2, 2)) + 1j * rng.normal(size=(1000, 2, 2))
+    jones /= np.linalg.norm(jones, axis=(1, 2))[:, None, None]  # M00 = 1/2
+    v = jones.reshape(-1, 4)
+    iu, ju = np.triu_indices(4, 1)
+    pairs = v[:, iu] * v[:, ju].conj()
+    h = np.hstack([np.abs(v) ** 2, pairs.real, pairs.imag])
+    r = qpol2.channels._HERMITIAN_TO_MUELLER
+    assert r.dtype == float and r.shape == (16, 16) and np.count_nonzero(r) == 40
+    vec_m = per_path_mueller(jones).reshape(-1, 16)
+    assert np.abs(h @ r.T - vec_m).max() <= 1e-15
+
+
 def test_two_photon_correlated_transmittance_ignores_path_count():
     # Realization k occurs with probability w_k: splitting every path into
     # two copies of half its weight describes the same channel, and a
@@ -418,6 +478,14 @@ def test_propagate_tensor_requires_normalized_mueller():
     with pytest.raises(ValueError):
         propagate_tensor(2 * np.eye(4), K_BELL)
     assert np.allclose(propagate_tensor(np.eye(4), K_BELL), K_BELL)
+    # Both inputs must be finite 4x4 matrices; a NaN M00 passes the
+    # normalization test.
+    nan_m00, inf_k = np.eye(4), K_BELL.copy()
+    nan_m00[0, 0], inf_k[2, 1] = np.nan, np.inf
+    for m, k_in in [(np.eye(3), np.eye(3)), (np.eye(4), np.eye(3)), (np.eye(3), K_BELL),
+                    (np.eye(4)[None], K_BELL), (nan_m00, K_BELL), (np.eye(4), inf_k)]:
+        with pytest.raises(ValueError):
+            propagate_tensor(m, k_in)
 
 
 def test_propagate_bell_through_diagonal():
@@ -455,6 +523,10 @@ def test_kraus_from_diagonal_mueller_rejects_non_cp():
         kraus_from_diagonal_mueller(1.2, 0.5, 0.5)
     with pytest.raises(ValueError):
         kraus_from_diagonal_mueller(-0.1, 0.5, 0.5)
+    # NaN passes both range comparisons; it must not reach the ensemble.
+    for d in [(np.nan, 0.5, 0.5), (0.5, 0.5, np.nan), (np.inf, 0.5, 0.5)]:
+        with pytest.raises(ValueError, match=r"diagonal entries must lie in \[0, 1\]"):
+            kraus_from_diagonal_mueller(*d)
 
 
 def test_cp_boundary_is_exactly_representable():
@@ -493,6 +565,13 @@ def test_normalize_mueller():
     assert np.allclose(normalize_mueller(2 * np.eye(4)), np.eye(4))
     with pytest.raises(ValueError):
         normalize_mueller(-np.eye(4))
+    # A NaN M00 passes "M00 <= 0"; no entry may be non-finite.
+    for index, value in [((0, 0), np.nan), ((0, 0), np.inf), ((1, 2), np.nan),
+                         ((3, 3), -np.inf)]:
+        m = np.eye(4)
+        m[index] = value
+        with pytest.raises(ValueError, match="finite"):
+            normalize_mueller(m)
 
 
 def test_mueller_maps_physical():

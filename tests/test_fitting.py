@@ -615,3 +615,11 @@ def test_mueller_similarity_bounds_and_reference():
         s = mueller_similarity(a, b)
         assert 0.0 <= s <= 1.0
         assert np.isclose(s, mueller_similarity(b, a), atol=1e-14)
+
+
+def test_mueller_similarity_of_zero_matrices():
+    # |A| + |B| = 0 would be 0 / 0 (a warning and NaN): two zero matrices agree.
+    zero = np.zeros((4, 4))
+    assert mueller_similarity(zero, zero) == 1.0
+    assert mueller_similarity(zero, np.eye(4)) == 0.0
+    assert mueller_similarity(np.eye(4), zero) == 0.0
