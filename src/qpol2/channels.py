@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ChannelError, NotCompletelyPositiveError, UnphysicalStateError
-from .polarization import (PAULI, _physical_state, check_density, correlation_tensor,
-                           density_to_stokes)
+from .polarization import (PAULI, _physical_state, _real, check_density,
+                           correlation_tensor, density_to_stokes)
 
 __all__ = [
     "KrausEnsemble",
@@ -227,12 +227,7 @@ def propagate_tensor(m, k_in) -> np.ndarray:
 
     ``m`` and ``k_in`` must be finite 4x4 matrices and M00 = 1 (ValueError).
     """
-    m = np.asarray(m, dtype=float)
-    k_in = np.asarray(k_in, dtype=float)
-    if m.shape != (4, 4) or k_in.shape != (4, 4):
-        raise ValueError("Mueller matrix and correlation tensor must be 4x4")
-    if not (np.isfinite(m).all() and np.isfinite(k_in).all()):
-        raise ValueError("Mueller matrix and correlation tensor must be finite")
+    m, k_in = _real(m, (4, 4), "Mueller matrix"), _real(k_in, (4, 4), "correlation tensor")
     if abs(m[0, 0] - 1.0) > 1e-10:
         raise ValueError("Mueller matrix must be normalized to M00 = 1")
     return m @ k_in @ m.T
@@ -269,11 +264,9 @@ def compose(ch1: KrausEnsemble, ch2: KrausEnsemble) -> KrausEnsemble:
 
 
 def normalize_mueller(m) -> np.ndarray:
-    """Scale a Mueller matrix so that M_00 = 1; a non-finite entry or M_00 <= 0 is a
-    ValueError."""
-    m = np.asarray(m, dtype=float)
-    if not np.isfinite(m).all():
-        raise ValueError("Mueller matrix entries must be finite")
+    """Scale a Mueller matrix so that M_00 = 1; anything but a finite 4x4 array, or
+    M_00 <= 0, is a ValueError."""
+    m = _real(m, (4, 4), "Mueller matrix")
     if m[0, 0] <= 0:
         raise ValueError("Mueller matrix must have M00 > 0")
     return m / m[0, 0]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import UnderdeterminedFitError
+from .polarization import _real
 
 __all__ = [
     "FitResult",
@@ -115,12 +116,7 @@ class PixelMap:
 
 
 def _check_tensor_pair(k_in, k_out):
-    k_in = np.asarray(k_in, dtype=float)
-    k_out = np.asarray(k_out, dtype=float)
-    if k_in.shape != (4, 4) or k_out.shape != (4, 4):
-        raise ValueError("correlation tensors must be 4x4")
-    if not (np.isfinite(k_in).all() and np.isfinite(k_out).all()):
-        raise ValueError("correlation tensors must be finite")
+    k_in, k_out = (_real(k, (4, 4), "correlation tensors") for k in (k_in, k_out))
     if abs(k_in[0, 0] - 1.0) > 1e-8:
         raise ValueError("input tensor must have K00 = 1")
     return k_in, k_out
@@ -479,9 +475,10 @@ def stabilizer_dimension(tensors) -> StabilizerReport:
     SVD null space of these operators, stacked over the inputs, with
     relative threshold 1e-10; the congruence is invariant under
     M -> M exp(tX) for every generator X, so identifiability of a Mueller
-    fit from these inputs requires dimension zero.
+    fit from these inputs requires dimension zero.  Each tensor must be a
+    finite 4x4 array (ValueError).
     """
-    tensors = [np.asarray(k, dtype=float) for k in tensors]
+    tensors = [_real(k, (4, 4), "correlation tensors") for k in tensors]
     if not tensors:
         raise ValueError("at least one tensor is required")
     q = _congruence_form(np.array(tensors))
@@ -520,10 +517,9 @@ def reconstruct_image(k_in, pixel_tensors, model="diagonal") -> PixelMap:
 
 
 def mueller_similarity(m_a, m_b) -> float:
-    """Normalized Frobenius agreement 1 - |A - B| / (|A| + |B|), in [0, 1]; two zero
-    matrices agree exactly (1.0)."""
-    m_a = np.asarray(m_a, dtype=float)
-    m_b = np.asarray(m_b, dtype=float)
+    """Normalized Frobenius agreement 1 - |A - B| / (|A| + |B|), in [0, 1], of two
+    finite 4x4 matrices (ValueError otherwise); two zero matrices agree exactly (1.0)."""
+    m_a, m_b = (_real(m, (4, 4), "Mueller matrices") for m in (m_a, m_b))
     scale = np.linalg.norm(m_a) + np.linalg.norm(m_b)
     if scale == 0:
         return 1.0

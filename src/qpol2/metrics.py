@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .polarization import PAULI, check_density
+from .polarization import PAULI, _real, check_density
 
 __all__ = [
     "MetricsReport",
@@ -58,9 +58,10 @@ def tensor_purity(k) -> float:
     """Purity computed from a correlation tensor, (1/4) sum_ij K_ij^2.
 
     Equal to Tr(rho^2) for the corresponding two-photon state; kept as an
-    independent route for cross-checking.
+    independent route for cross-checking.  ``k`` must be a finite 4x4 array
+    (ValueError).
     """
-    k = np.asarray(k, dtype=float)
+    k = _real(k, (4, 4), "correlation tensor")
     return float(0.25 * np.sum(k * k))
 
 

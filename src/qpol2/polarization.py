@@ -52,27 +52,40 @@ PSD_TOL = -1e-10
 _PAULI2 = np.array([np.kron(a, b) for a in PAULI for b in PAULI]).reshape(4, 4, 4, 4)
 
 
+def _real(x, shape, what) -> np.ndarray:
+    """x as a float array of ``shape`` with finite entries, or a ValueError naming
+    ``what``: the check of every public Stokes vector, Mueller matrix and tensor."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != shape or not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite with shape {shape}")
+    return x
+
+
 def degree_of_polarization(s) -> float:
-    """Return sqrt(S1^2 + S2^2 + S3^2) / S0 for a Stokes vector."""
-    s = np.asarray(s, dtype=float)
+    """Return sqrt(S1^2 + S2^2 + S3^2) / S0 for a finite (4,) Stokes vector with
+    S0 > 0 (UnphysicalStateError otherwise)."""
+    s = _real(s, (4,), "Stokes vector")
+    if s[0] <= 0:
+        raise UnphysicalStateError("Stokes vector must have S0 > 0")
     return float(np.linalg.norm(s[1:]) / s[0])
 
 
 def normalize_stokes(s) -> np.ndarray:
-    """Scale a Stokes vector so that S0 = 1."""
-    s = np.asarray(s, dtype=float)
+    """Scale a finite (4,) Stokes vector so that S0 = 1; S0 <= 0 is an
+    UnphysicalStateError."""
+    s = _real(s, (4,), "Stokes vector")
     if s[0] <= 0:
         raise UnphysicalStateError("Stokes vector must have S0 > 0")
     return s / s[0]
 
 
 def stokes_to_density(s) -> np.ndarray:
-    """Build the 2x2 density matrix (1/2)(I + S.sigma) of a Stokes vector.
+    """Build the 2x2 density matrix (1/2)(I + S.sigma) of a finite (4,) Stokes vector.
 
     A non-normalized input (S0 != 1) is normalized first with a warning.
     A degree of polarization above 1 is rejected as unphysical.
     """
-    s = np.asarray(s, dtype=float)
+    s = _real(s, (4,), "Stokes vector")
     if abs(s[0] - 1.0) > 1e-12:
         warnings.warn("Stokes vector not normalized; dividing by S0", stacklevel=2)
         s = normalize_stokes(s)
@@ -99,11 +112,10 @@ def tensor_to_density(k) -> np.ndarray:
     The map is a linear bijection onto Hermitian trace-1 operators, so the
     result is not guaranteed positive; a tensor whose density matrix has an
     eigenvalue below the PSD tolerance is flagged with a warning and the
-    caller decides how to handle it.
+    caller decides how to handle it.  A tensor that is not a finite 4x4 array is
+    a ValueError, and K00 != 1 an UnphysicalStateError.
     """
-    k = np.asarray(k, dtype=float)
-    if k.shape != (4, 4):
-        raise ValueError("correlation tensor must be 4x4")
+    k = _real(k, (4, 4), "correlation tensor")
     if abs(k[0, 0] - 1.0) > 1e-10:
         raise UnphysicalStateError("correlation tensor must have K00 = 1")
     rho = _pauli_expansion(k)
@@ -131,12 +143,14 @@ def _physical_state(s) -> np.ndarray:
 def check_density(rho, dim=None) -> np.ndarray:
     """Validate Hermiticity, unit trace, and positivity of a density matrix.
 
-    Returns the matrix as a complex ndarray; raises UnphysicalStateError on
-    violation of any invariant.
+    Returns the matrix as a complex ndarray; raises UnphysicalStateError on a
+    non-finite entry or on violation of any invariant.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise UnphysicalStateError("density matrix must be square")
+    if not np.isfinite(rho).all():
+        raise UnphysicalStateError("density matrix entries must be finite")
     if dim is not None and rho.shape[0] != dim:
         raise UnphysicalStateError(f"expected a {dim}x{dim} density matrix")
     if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:

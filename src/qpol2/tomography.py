@@ -76,10 +76,13 @@ def simulate_counts(rho, pairs_per_setting, seed=None, noisy=False):
 
     The expected rate per setting is <ab|rho|ab>; observed counts are
     Poisson(pairs * rate) draws when ``noisy`` and the rounded expectation
-    otherwise.  Deterministic for a given seed.
+    otherwise.  Deterministic for a given seed.  ``pairs_per_setting`` below 1
+    is a ValueError.
     """
     rho = check_density(rho, dim=4)
     pairs = int(pairs_per_setting)
+    if pairs < 1:
+        raise ValueError("pairs_per_setting must be at least 1")
     rates = np.clip(np.einsum("si,ij,sj->s", _KETS.conj(), rho, _KETS).real, 0.0, 1.0)
     if noisy:
         observed = np.random.default_rng(seed).poisson(pairs * rates)
@@ -123,9 +126,10 @@ def reconstruct(counts) -> np.ndarray:
 
 
 def fidelity(rho_a, rho_b) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2."""
+    """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2 of two density matrices of the
+    same dimension (UnphysicalStateError otherwise)."""
     rho_a = check_density(rho_a)
-    rho_b = check_density(rho_b)
+    rho_b = check_density(rho_b, dim=len(rho_a))
     lam, vec = np.linalg.eigh(rho_a)
     sqrt_a = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
     inner = sqrt_a @ rho_b @ sqrt_a

@@ -72,6 +72,9 @@ def test_degree_of_polarization():
     assert degree_of_polarization([1, 1, 0, 0]) == 1.0
     assert degree_of_polarization([1, 0, 0, 0]) == 0.0
     assert np.isclose(degree_of_polarization([2, 0.6, 0.8, 0.0]), 0.5)
+    for s0 in (0.0, -0.0, -1.0):  # no division warning, no negative degree
+        with pytest.raises(UnphysicalStateError, match="S0 > 0"):
+            degree_of_polarization([s0, 0.5, 0.0, 0.0])
 
 
 def test_bell_state_density():
@@ -128,6 +131,12 @@ def test_check_density_validations():
         check_density(np.eye(4) / 4, dim=2)  # wrong dimension
     with pytest.raises(UnphysicalStateError):
         check_density(np.ones((2, 3)))  # not square
+    for value in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        for dim in (2, 4):  # not a LinAlgError or a warning
+            rho = np.eye(dim, dtype=complex) / dim
+            rho[0, 1] = value
+            with pytest.raises(UnphysicalStateError, match="finite"):
+                check_density(rho)
     rho = check_density(np.eye(2) / 2)
     assert rho.dtype == complex
 

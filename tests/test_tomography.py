@@ -10,6 +10,7 @@ from qpol2 import (
     SETTING_LABELS,
     CountRecord,
     TomographyError,
+    UnphysicalStateError,
     analyzer_stokes,
     bell_state,
     fidelity,
@@ -60,6 +61,14 @@ def test_noiseless_counts_are_rounded_expectations():
     for rec in records:
         assert rec.counts == int(np.rint(1000 * rec.expected))
         assert rec.pairs == 1000
+
+
+def test_simulate_counts_needs_a_pair_per_setting():
+    for pairs in (0, -5, 0.5):
+        for noisy in (False, True):
+            with pytest.raises(ValueError, match="at least 1"):
+                simulate_counts(bell_state(), pairs, noisy=noisy)
+    assert all(rec.pairs == 1 for rec in simulate_counts(bell_state(), 1))
 
 
 def test_noisy_counts_determinism():
@@ -157,6 +166,9 @@ def test_fidelity_properties():
         b = random_density(rng)
         assert np.isclose(fidelity(a, b), fidelity(b, a), atol=1e-10)
         assert 0.0 <= fidelity(a, b) <= 1.0 + 1e-12
+    for a, b in ((np.eye(2) / 2, bell), (bell, np.eye(2) / 2)):
+        with pytest.raises(UnphysicalStateError, match="density matrix"):
+            fidelity(a, b)
 
 
 def test_fidelity_of_pure_states_is_overlap():
