@@ -28,6 +28,10 @@ __all__ = [
 
 _FIT_TOL = 1e-14
 _NULL_SPACE_REL_TOL = 1e-10
+# Each fit model as a table A (16, 1 + n) with vec(M) = A (1, x), row-major:
+# column 0 sets M00 and column s the entries that parameter s sets.
+_COORDINATES = {"diagonal": np.eye(16)[:, [0, 5, 10, 15]], "general": np.eye(16)}
+_COORDINATES["isotropic"] = _COORDINATES["diagonal"] @ [[1, 0], [0, 1], [0, 1], [0, 1]]
 
 
 @dataclass(frozen=True)
@@ -35,8 +39,11 @@ class FitResult:
     """Outcome of a Mueller fit.
 
     ``params`` holds 1 (isotropic), 3 (diagonal), or 15 (general, row-major
-    without M00) numbers; M00 is always fixed to 1.  ``iterations`` counts
-    solver steps for every model; for the general model it is the sum over
+    without M00) numbers; M00 is always fixed to 1.  The model's table A =
+    ``_COORDINATES[model]`` places them, vec(M) = A (1, params) row-major:
+    M11 = M22 = M33 (isotropic), the diagonal entries (diagonal) or every
+    entry but M00 (general).  ``iterations`` counts solver steps for every
+    model; for the general model it is the sum over
     all multistarts, or the polish steps alone when exact data from three
     inputs gave the start in closed form.  A diagonal or isotropic fit to a
     diagonal input tensor is the closed form and reports 0.  ``converged``
@@ -54,16 +61,9 @@ class FitResult:
 
     def mueller(self) -> np.ndarray:
         """Assemble the fitted 4x4 Mueller matrix."""
-        m = np.eye(4)
-        if self.model == "isotropic":
-            m[1, 1] = m[2, 2] = m[3, 3] = self.params[0]
-        elif self.model == "diagonal":
-            m[1, 1], m[2, 2], m[3, 3] = self.params
-        elif self.model == "general":
-            m = _general_muellers(self.params[None])[0]
-        else:
+        if self.model not in _COORDINATES:
             raise ValueError(f"unknown model {self.model!r}")
-        return m
+        return (_COORDINATES[self.model] @ np.append(1.0, self.params)).reshape(4, 4)
 
     def as_dict(self) -> dict:
         return {
@@ -120,15 +120,6 @@ def _check_tensor_pair(k_in, k_out):
     if abs(k_in[0, 0] - 1.0) > 1e-8:
         raise ValueError("input tensor must have K00 = 1")
     return k_in, k_out
-
-
-def _diagonal_residual(k_in, k_out, x):
-    """Diagonals v = (1, x), residuals V K_in V - K_out with V = diag(v), and
-    their sums of squares, for parameters x of shape (P, 1 or 3)."""
-    v = np.ones((len(x), 4))
-    v[:, 1:] = x
-    r = v[:, :, None] * k_in * v[:, None, :] - k_out
-    return v, r, (r * r).sum(axis=2).sum(axis=1)
 
 
 def _projected_lm(x, system, lo, max_steps, floor, accel=None):
@@ -190,8 +181,10 @@ def _solve_diagonal(k_in, k_out, model):
     nonzero K_in,aa counted as signal is the exact box minimizer; it is
     returned after 0 steps.  Otherwise axes with |K_in,aa| <= 0.05 count as
     carrying no signal and ``_projected_lm`` refines each pixel for at most
-    100 steps with the full Hessian.  Sums run over at most 4 terms in a
-    fixed order, so a pixel's result does not depend on its batch.  Returns
+    100 steps with the exact Hessian of the model's ``_Congruence`` form.
+    The start, the closed form and the residual norms depend on a pixel
+    alone; the Hessian's curvature term is a BLAS product, whose rounding
+    differs between a batch of one pixel and a larger one.  Returns
     parameters (P, 1 or 3), residual norms, step counts and converged flags.
     """
     if model not in ("diagonal", "isotropic"):
@@ -206,31 +199,12 @@ def _solve_diagonal(k_in, k_out, model):
         signal = signal.any(keepdims=True)
     ratio = out_diag / np.where(signal, k_diag, 1.0)
     x = np.where(signal, np.sqrt(np.clip(ratio, 0, 1)), 0.5)
-    k2 = k_in * k_in
-
-    def system(xs, rows, derivatives=True):
-        v, r, cost = _diagonal_residual(k_in, k_out[rows], xs)
-        if not derivatives:
-            return cost
-        # With the Jacobian dr_ij/dv_a = delta_ia v_j K_aj + delta_ja v_i K_ia
-        # and W = r K, the gradient is (W + W^T) v and the Hessian is
-        # v_a v_b (K_ab^2 + K_ba^2) + delta_ab sum_j v_j^2 (K_aj^2 + K_ja^2)
-        # (that is J^T J) plus W_ab + W_ba.
-        w = r * k_in
-        grad = (w * v[:, None, :]).sum(axis=2) + (w * v[:, :, None]).sum(axis=1)
-        hess = v[:, :, None] * v[:, None, :] * (k2 + k2.T) + w + w.transpose(0, 2, 1)
-        hess[:, range(4), range(4)] += ((k2 * (v * v)[:, None, :]).sum(axis=2)
-                                        + (k2 * (v * v)[:, :, None]).sum(axis=1))
-        grad, hess = grad[:, 1:], hess[:, 1:, 1:]
-        if isotropic:
-            grad, hess = grad.sum(1, keepdims=True), hess.sum(2).sum(1)[:, None, None]
-        return cost, grad, hess
-
+    problem = _Congruence(k_in[None], k_out, model)
     if exact:
         steps, converged = np.zeros(len(x), dtype=int), np.ones(len(x), dtype=bool)
     else:
-        steps, converged = _projected_lm(x, system, 0, 100, 1e-10)
-    return x, np.sqrt(_diagonal_residual(k_in, k_out, x)[2]), steps, converged
+        steps, converged = _projected_lm(x, problem.system, 0, 100, 1e-10)
+    return x, np.sqrt(problem.cost(x)), steps, converged
 
 
 def fit_diagonal(k_in, k_out, model="diagonal", residual_tol=None) -> FitResult:
@@ -247,21 +221,15 @@ def fit_diagonal(k_in, k_out, model="diagonal", residual_tol=None) -> FitResult:
     return FitResult(model, params[0], residual, int(steps[0]), converged)
 
 
-def _general_muellers(x, m00=1.0) -> np.ndarray:
-    """Matrices (n, 4, 4) with entry 00 ``m00`` and the 15 others, row-major,
-    from the rows of x (n, 15)."""
-    m = np.empty((len(x), 16))
-    m[:, 0], m[:, 1:] = m00, x
-    return m.reshape(-1, 4, 4)
-
-
-def _congruence_form(k_in) -> np.ndarray:
-    """Coefficients Q (16P, 16, 16) of the congruence as a quadratic form in
-    y = vec(M), row-major: (M K_p M^T)_ab = y^T Q_pab y, with entries
-    Q_pab[(i, c), (j, d)] = delta_ai delta_bj K_p,cd over the stack k_in
-    (P, 4, 4)."""
-    eye = np.eye(4)
-    return np.einsum("ai,bj,pcd->pabicjd", eye, eye, k_in).reshape(-1, 16, 16)
+def _congruence_form(k_in, coords) -> np.ndarray:
+    """Coefficients Q (16P, n, n) of the congruence as a quadratic form in
+    coordinates z with vec(M) = A z, row-major, for the table A (16, n):
+    (M K_p M^T)_ab = z^T Q_pab z with Q_pab = A_a^T K_p A_b over the stack
+    k_in (P, 4, 4), where A_a holds rows 4a to 4a + 3 of A.  For A = I,
+    Q_pab[(i, c), (j, d)] = delta_ai delta_bj K_p,cd."""
+    blocks = coords.reshape(4, 4, -1)
+    left = blocks.transpose(0, 2, 1) @ k_in[:, None]
+    return (left[:, :, None] @ blocks).reshape(-1, coords.shape[1], coords.shape[1])
 
 
 _SIGN_FLIPS = [
@@ -282,44 +250,56 @@ _EXACT_REL_RESIDUAL = 1e-8
 
 
 class _Congruence:
-    """The stacked residuals r = M K_in M^T - K_out of a general fit.
+    """The stacked residuals r = M K_in M^T - K_out of a fit model.
 
-    Each residual r_q = y^T Q_q y - K_out,q is a quadratic form in
-    y = vec(M) = (1, x), row-major, with gradient Sigma_q y and Hessian
-    Sigma_q = Q_q + Q_q^T; the coefficients are built once.  ``system`` and
-    ``accel`` are the callbacks of ``_projected_lm``.
+    Every row x of a batch shares the inputs k_in (P, 4, 4); row p fits
+    target p % T of the T stacks of P output tensors in k_out.  Each
+    residual r_q = z^T Q_q z - K_out,q is a quadratic form in the model's
+    coordinates z = (1, x), vec(M) = A z for A = ``_COORDINATES[model]``,
+    whose coefficients are built once.  Its gradient is Sigma_q z and its
+    Hessian Sigma_q = Q_q + Q_q^T.  ``system`` and ``accel`` are the
+    callbacks of ``_projected_lm``.
     """
 
-    def __init__(self, pairs):
-        self.k_in = np.array([k for k, _ in pairs])
-        self.k_out = np.array([k for _, k in pairs])
-        self.target = self.k_out.reshape(-1)
-        q = _congruence_form(self.k_in)
+    def __init__(self, k_in, k_out, model):
+        self.k_in, self.k_out = k_in, k_out
+        q = _congruence_form(k_in, _COORDINATES[model])
         sym = q + q.transpose(0, 2, 1)
-        self.q_cols = q.reshape(-1, 256).T
-        self.sym_rows = sym.transpose(1, 0, 2).reshape(16, -1)
-        self.sym_flat = sym.reshape(-1, 256)
+        size, n = q.shape[:2]
+        self.target = k_out.reshape(-1, size)
+        self.q_cols = q.reshape(size, n * n).T
+        self.sym_rows = sym.transpose(1, 0, 2).reshape(n, size * n)
+        self.sym_flat = sym.reshape(size, n * n)
         self.jac = None
 
     def quadratic(self, x, m00=1.0):
-        # y = vec(M) and Q(y (x) y) for each row of x.
-        y = _general_muellers(x, m00).reshape(len(x), 16)
-        return y, (y[:, :, None] * y[:, None, :]).reshape(len(x), 256) @ self.q_cols
+        # z = (m00, x) and Q(z (x) z) for each row of x.
+        z = np.empty((len(x), 1 + x.shape[1]))
+        z[:, 0], z[:, 1:] = m00, x
+        outer = (z[:, :, None] * z[:, None, :]).reshape(len(x), len(self.q_cols))
+        return z, outer @ self.q_cols
 
-    def cost(self, x):
-        r = self.quadratic(x)[1] - self.target
+    def residual(self, x, rows=None):
+        # z and r at x for the problems ``rows``, by default one per row.
+        rows = np.arange(len(x)) if rows is None else rows
+        z, r = self.quadratic(x)
+        return z, r - self.target[rows % len(self.target)]
+
+    def cost(self, x, rows=None):
+        r = self.residual(x, rows)[1]
         return (r * r).sum(axis=1)
 
     def system(self, x, rows, derivatives=True):
         if not derivatives:
-            return self.cost(x)
-        y, r = self.quadratic(x)
-        r -= self.target
+            return self.cost(x, rows)
+        z, r = self.residual(x, rows)
         # d r / dx without the column of the fixed M00; the Hessian
         # J^T J + sum_q r_q Sigma_q is exact.  Gauss-Newton alone (J^T J)
-        # crawls on large residuals.
-        self.jac = jac = (y @ self.sym_rows).reshape(len(x), -1, 16)[..., 1:]
-        second = (r @ self.sym_flat).reshape(len(x), 16, 16)[:, 1:, 1:]
+        # crawls on large residuals.  ``second`` is one 2-D BLAS product,
+        # which rounds differently for a one-row batch; general fits carry
+        # that rounding bit for bit.
+        self.jac = jac = (z @ self.sym_rows).reshape(r.shape + z.shape[1:])[..., 1:]
+        second = (r @ self.sym_flat).reshape(z.shape + z.shape[1:])[:, 1:, 1:]
         hess = jac.transpose(0, 2, 1) @ jac + second
         return (r * r).sum(axis=1), (r[:, None] @ jac)[:, 0], hess
 
@@ -335,7 +315,7 @@ class _Congruence:
         """The fit at x, whose residual norm is ``residual``; when the data
         leave the sign of the diagonal block free, the representative with
         M11 >= 0."""
-        m = _general_muellers(x[None])[0]
+        m = np.append(1.0, x).reshape(4, 4)
         if m[1, 1] < 0:
             tol = residual + max(1e-12, 1e-9 * residual)
             for flip in _SIGN_FLIPS:
@@ -454,9 +434,9 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
             raise UnderdeterminedFitError(
                 "underdetermined - see stabilizer report", report
             )
-    problem = _Congruence(pairs)
+    problem = _Congruence(*map(np.array, zip(*pairs)), "general")
     x = _closed_form_start(problem.k_in, problem.k_out)
-    bound = _EXACT_REL_RESIDUAL * np.linalg.norm(problem.target)
+    bound = _EXACT_REL_RESIDUAL * np.linalg.norm(problem.k_out)
     if x is not None and problem.norm(x[0]) <= bound:
         steps, converged = _projected_lm(x, problem.system, -1.0, 1000, _GENERAL_FLOOR,
                                          problem.accel)
@@ -481,7 +461,7 @@ def stabilizer_dimension(tensors) -> StabilizerReport:
     tensors = [_real(k, (4, 4), "correlation tensors") for k in tensors]
     if not tensors:
         raise ValueError("at least one tensor is required")
-    q = _congruence_form(np.array(tensors))
+    q = _congruence_form(np.array(tensors), _COORDINATES["general"])
     op = np.eye(4).ravel() @ (q + q.transpose(0, 2, 1))
     _, sing, vt = np.linalg.svd(op)
     dim = int(np.sum(sing < _NULL_SPACE_REL_TOL * sing[0]))
@@ -498,7 +478,10 @@ def reconstruct_image(k_in, pixel_tensors, model="diagonal") -> PixelMap:
 
     ``pixel_tensors`` is an (H, W, 4, 4) array of output tensors sharing the
     input tensor ``k_in``.  One call of the solver behind ``fit_diagonal``
-    fits all pixels, each bitwise as ``fit_diagonal`` would.  Pixels with
+    fits all pixels.  For a diagonal ``k_in`` each pixel is bitwise what
+    ``fit_diagonal`` returns; for another ``k_in`` the solver's steps can
+    round differently in a batch than for one pixel alone, so a pixel
+    agrees with ``fit_diagonal`` to the solver's tolerance.  Pixels with
     non-finite tensors are recorded as NaN values with ``converged`` False;
     a bad ``model`` or ``k_in`` raises ValueError.
     """

@@ -113,23 +113,26 @@ def _check_mode(mode) -> str:
 
 
 def purity_closed_form(m11, m22, m33, mode) -> float:
-    """Closed-form output purity for a Bell input through diag(1, m11, m22, m33).
+    """Closed-form output purity for a Bell input through diag(1, m11, m22, m33),
+    for finite m11, m22, m33 (ValueError otherwise).
 
     OPP: (1 + m11^2 + m22^2 + m33^2) / 4.
     TPP: (1 + m11^4 + m22^4 + m33^4) / 4.
     """
     mode = _check_mode(mode)
-    m = np.array([m11, m22, m33], dtype=float)
+    m = _real([m11, m22, m33], (3,), "m11, m22, m33")
     power = 2 if mode == "opp" else 4
     return float((1 + np.sum(m**power)) / 4)
 
 
 def purity_sensitivity(m, dm_deta, mode) -> float:
-    """Derivative of the isotropic closed-form purity with respect to eta.
+    """Derivative of the isotropic closed-form purity with respect to eta, for
+    finite m and dm_deta (ValueError otherwise).
 
     OPP: (3/2) m dm/deta.  TPP: 3 m^3 dm/deta.
     """
     mode = _check_mode(mode)
+    _real([m, dm_deta], (2,), "m, dm_deta")
     if mode == "opp":
         return float(1.5 * m * dm_deta)
     return float(3.0 * m**3 * dm_deta)

@@ -69,6 +69,8 @@ _DESIGN = _design_matrix()
 _DESIGN_ROW = {label: i for i, label in enumerate(SETTING_LABELS)}
 # Product kets |a> (x) |b> of the 36 settings, one row each.
 _KETS = np.array([np.kron(ANALYZERS[a], ANALYZERS[b]) for a, b in SETTING_LABELS])
+# numpy's Poisson sampler rejects a mean above this.
+_POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 
 def simulate_counts(rho, pairs_per_setting, seed=None, noisy=False):
@@ -76,13 +78,18 @@ def simulate_counts(rho, pairs_per_setting, seed=None, noisy=False):
 
     The expected rate per setting is <ab|rho|ab>; observed counts are
     Poisson(pairs * rate) draws when ``noisy`` and the rounded expectation
-    otherwise.  Deterministic for a given seed.  ``pairs_per_setting`` below 1
-    is a ValueError.
+    otherwise.  Deterministic for a given seed.  ``pairs_per_setting`` that
+    is not finite, below 1 or, when ``noisy``, above numpy's Poisson limit
+    (about 9.2e18) is a ValueError.
     """
     rho = check_density(rho, dim=4)
+    if not np.isfinite(pairs_per_setting):
+        raise ValueError("pairs_per_setting must be finite")
     pairs = int(pairs_per_setting)
     if pairs < 1:
         raise ValueError("pairs_per_setting must be at least 1")
+    if noisy and float(pairs) > _POISSON_MAX:
+        raise ValueError(f"pairs_per_setting must be at most {_POISSON_MAX:.4g} when noisy")
     rates = np.clip(np.einsum("si,ij,sj->s", _KETS.conj(), rho, _KETS).real, 0.0, 1.0)
     if noisy:
         observed = np.random.default_rng(seed).poisson(pairs * rates)

@@ -155,6 +155,77 @@ def test_fit_result_serialization():
     assert isinstance(d["iterations"], int)
 
 
+# -------------------------------------------------------- residual forms
+
+MODEL_SIZES = {"isotropic": 1, "diagonal": 3, "general": 15}
+
+
+def test_fit_result_mueller_places_params_at_the_coordinates():
+    rng = np.random.default_rng(21)
+    for model, n in MODEL_SIZES.items():
+        params = rng.uniform(-1.0, 1.0, n)
+        m = FitResult(model, params, 0.0, 0, True).mueller()
+        table = qpol2.fitting._COORDINATES[model]
+        assert table.shape == (16, 1 + n)
+        assert m[0, 0] == 1.0 and np.flatnonzero(table[:, 0]).tolist() == [0]
+        for s, value in enumerate(params, 1):
+            assert (m.flat[np.flatnonzero(table[:, s])] == value).all()
+        assert np.count_nonzero(m.ravel()[1:]) == np.count_nonzero(table[1:].sum(axis=1))
+    m = FitResult("isotropic", np.array([0.3]), 0.0, 0, True).mueller()
+    assert np.array_equal(m, np.diag([1.0, 0.3, 0.3, 0.3]))
+    m = FitResult("diagonal", np.array([0.3, 0.2, 0.1]), 0.0, 0, True).mueller()
+    assert np.array_equal(m, np.diag([1.0, 0.3, 0.2, 0.1]))
+    params = np.arange(1.0, 16.0)
+    m = FitResult("general", params, 0.0, 0, True).mueller()
+    assert np.array_equal(m, np.concatenate([[1.0], params]).reshape(4, 4))
+    with pytest.raises(ValueError, match="unknown model"):
+        FitResult("full", params, 0.0, 0, True).mueller()
+
+
+@pytest.mark.parametrize("model", list(MODEL_SIZES))
+def test_congruence_derivatives_match_finite_differences(model):
+    # Row p of a batch fits target stack rows[p] of k_out; ``system`` returns
+    # half the cost's gradient and Hessian, and ``accel`` J^T times the
+    # second directional derivative of the residuals.
+    rng = np.random.default_rng(22)
+    n = MODEL_SIZES[model]
+    k_in = np.array([correlation_tensor(random_density(rng))
+                     for _ in range(3 if model == "general" else 1)])
+    k_out = rng.normal(size=(5,) + k_in.shape)
+    problem = qpol2.fitting._Congruence(k_in, k_out, model)
+    rows = np.array([4, 0, 2])
+    x = rng.uniform(-0.9, 0.9, (3, n))
+    cost, grad, hess = problem.system(x, rows)
+    _, r = problem.residual(x, rows)
+    for p, row in enumerate(rows):
+        m = FitResult(model, x[p], 0.0, 0, True).mueller()
+        direct = np.array([m @ k @ m.T for k in k_in]) - k_out[row]
+        assert np.abs(r[p] - direct.ravel()).max() < 1e-12
+    assert np.array_equal(cost, problem.cost(x, rows))
+    shared = qpol2.fitting._Congruence(k_in, k_out[2], model)
+    assert np.array_equal(shared.cost(x), problem.cost(x, np.full(3, 2)))
+
+    def half_cost(dx):
+        return problem.cost(x + dx, rows) / 2
+
+    def residual(dx):
+        return problem.residual(x + dx, rows)[1]
+
+    h, h2, eye = 1e-4, 1e-3, np.eye(n)
+    fd_grad = np.stack([(half_cost(h * e) - half_cost(-h * e)) / (2 * h) for e in eye], 1)
+    fd_hess = np.stack([np.stack(
+        [(half_cost(h2 * (e + f)) - half_cost(h2 * (e - f)) - half_cost(h2 * (f - e))
+          + half_cost(-h2 * (e + f))) / (4 * h2 * h2) for f in eye], 1) for e in eye], 1)
+    assert np.abs(grad - fd_grad).max() <= 1e-7 * np.abs(grad).max()
+    assert np.abs(hess - fd_hess).max() <= 1e-5 * np.abs(hess).max()
+    v = rng.normal(size=(3, n))
+    jac = np.stack([(residual(h * e) - residual(-h * e)) / (2 * h) for e in eye], 2)
+    second = (residual(h2 * v) - 2 * residual(0 * v) + residual(-h2 * v)) / h2**2
+    fd_accel = (second[:, None] @ jac)[:, 0]
+    accel = problem.accel(x, v, rows)
+    assert np.abs(accel - fd_accel).max() <= 1e-7 * np.abs(accel).max()
+
+
 # ------------------------------------------------------------ general fits
 
 def test_fit_general_identifiable_three_inputs():
@@ -344,7 +415,7 @@ def test_fit_general_inexact_pairs_run_the_random_starts():
                      for (k, _), ek in zip(pairs, e)]
         elif seed % 3 == 2:  # exact Bell plus one product input
             pairs = tomography_pairs(rng, ch, inputs[:2], 10**12, False)
-        problem = qpol2.fitting._Congruence(pairs)
+        problem = qpol2.fitting._Congruence(*map(np.array, zip(*pairs)), "general")
         if seed >= 6:
             assert qpol2.fitting._closed_form_start(problem.k_in, problem.k_out) is None
         fit = fit_general(pairs, seed=seed)
@@ -589,6 +660,19 @@ def test_fit_diagonal_closed_form_for_diagonal_inputs():
     k_out = noisy_outputs(rng, mixed, 1, 0.0)[0]
     for model in ("diagonal", "isotropic"):
         assert fit_diagonal(mixed, k_out, model=model).iterations > 0
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 3)])
+def test_reconstruct_image_of_empty_and_all_nan_grids(shape):
+    # No pixel to fit: the map keeps its shape, NaN values and no converged pixel.
+    for k_in in (K_BELL, mixed_reference_tensor()):
+        for model in ("diagonal", "isotropic"):
+            pm = reconstruct_image(k_in, np.full(shape + (4, 4), np.nan), model=model)
+            assert (pm.height, pm.width) == shape
+            assert pm.values.shape == shape + (1 if model == "isotropic" else 3,)
+            assert pm.residuals.shape == pm.converged.shape == shape
+            assert np.isnan(pm.values).all() and np.isnan(pm.residuals).all()
+            assert not pm.converged.any()
 
 
 def test_reconstruct_image_validates_shape():

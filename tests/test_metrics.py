@@ -159,6 +159,22 @@ def test_purity_sensitivity_scales_with_dm_deta():
     assert purity_sensitivity(0.4, -2.0, "tpp") == -2.0 * 3.0 * 0.4**3
 
 
+def test_closed_form_purities_need_finite_arguments():
+    for bad in (np.nan, np.inf, -np.inf):
+        for mode in ("opp", "tpp"):
+            for args in ((bad, 0.5, 0.5), (0.5, bad, 0.5), (0.5, 0.5, bad)):
+                with pytest.raises(ValueError, match="m11, m22, m33 must be finite"):
+                    purity_closed_form(*args, mode)
+            for args in ((bad, 1.0), (0.5, bad)):
+                with pytest.raises(ValueError, match="m, dm_deta must be finite"):
+                    purity_sensitivity(*args, mode)
+    # |m| <= 1 is not required: a stencil may step past 1, and a CP diagonal
+    # such as diag(1, 1, -1, -1) has negative entries.
+    assert np.isclose(purity_closed_form(1.02, 1.0, 1.0, "opp"), (1 + 1.02**2 + 2) / 4)
+    assert purity_closed_form(1.0, -1.0, -1.0, "tpp") == 1.0
+    assert purity_sensitivity(-0.5, 1.0, "opp") == -0.75
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         purity_closed_form(0.5, 0.5, 0.5, "both")

@@ -64,11 +64,22 @@ def test_noiseless_counts_are_rounded_expectations():
 
 
 def test_simulate_counts_needs_a_pair_per_setting():
-    for pairs in (0, -5, 0.5):
+    for pairs, message in ((0, "at least 1"), (-5, "at least 1"), (0.5, "at least 1"),
+                           (np.inf, "finite"), (-np.inf, "finite"), (np.nan, "finite")):
         for noisy in (False, True):
-            with pytest.raises(ValueError, match="at least 1"):
+            with pytest.raises(ValueError, match=f"pairs_per_setting must be {message}"):
                 simulate_counts(bell_state(), pairs, noisy=noisy)
     assert all(rec.pairs == 1 for rec in simulate_counts(bell_state(), 1))
+
+
+def test_simulate_counts_noisy_pairs_within_the_poisson_limit():
+    for pairs in (1e19, 1e30, 2**63):
+        with pytest.raises(ValueError, match="pairs_per_setting must be at most"):
+            simulate_counts(bell_state(), pairs, noisy=True)
+        assert simulate_counts(bell_state(), pairs)[0].pairs == int(pairs)
+    # Just below the limit, a rate of 1 still draws.
+    h = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    assert simulate_counts(h, 9.2e18, noisy=True)[0].counts > 9e18
 
 
 def test_noisy_counts_determinism():
