@@ -43,14 +43,14 @@ class FitResult:
     ``_COORDINATES[model]`` places them, vec(M) = A (1, params) row-major:
     M11 = M22 = M33 (isotropic), the diagonal entries (diagonal) or every
     entry but M00 (general).  ``iterations`` counts solver steps for every
-    model; for the general model it is the sum over
-    all multistarts, or the polish steps alone when exact data from three
-    inputs gave the start in closed form.  A diagonal or isotropic fit to a
-    diagonal input tensor is the closed form and reports 0.  ``converged``
-    means the solver met a tolerance within its step budget (for the
-    general model, or ended it moving only along directions below the
-    damping floor) and, when a residual tolerance was configured, the
-    residual is below it.
+    model; for the general model it is the sum over all multistarts, or the
+    polish steps alone when exact data from three inputs, or from an
+    invertible plus a rank-1 input, gave the start in closed form.  A
+    diagonal or isotropic fit to a diagonal input tensor is the closed form
+    and reports 0.  ``converged`` means the solver met a tolerance within
+    its step budget (for the general model, or ended it moving only along
+    directions below the damping floor) and, when a residual tolerance was
+    configured, the residual is below it.
     """
 
     model: str
@@ -122,7 +122,7 @@ def _check_tensor_pair(k_in, k_out):
     return k_in, k_out
 
 
-def _projected_lm(x, system, lo, max_steps, floor, accel=None):
+def _projected_lm(x, system, lo, max_steps, floor, accel=None, damping=1e-3):
     """Refine a batch of box-constrained least-squares problems in place.
 
     Row p of ``x`` (P, n) is the start of problem p, whose parameters lie in
@@ -132,13 +132,14 @@ def _projected_lm(x, system, lo, max_steps, floor, accel=None):
     Projected Levenberg-Marquardt steps on the box (Kanzow, Yamashita &
     Fukushima, J. Comput. Appl. Math. 172, 375, 2004) refine each problem
     until its step or first-order cost change falls to ``_FIT_TOL`` or it
-    has taken ``max_steps`` steps; ``floor`` bounds the damping from below.
+    has taken ``max_steps`` steps.  The damping starts at ``damping``, and
+    ``floor`` bounds it from below.
     ``accel(x, step, rows)``, when given, returns J^T times the second
     directional derivative of r along ``step``, and each step then takes the
     geodesic acceleration (Transtrum & Sethna, arXiv:1201.5885).  Returns
     step counts and converged flags.
     """
-    damping = np.full(len(x), 1e-3)
+    damping = np.full(len(x), float(damping))
     steps = np.zeros(len(x), dtype=int)
     converged = np.zeros(len(x), dtype=bool)
     live = np.arange(len(x))
@@ -328,20 +329,86 @@ class _Congruence:
         return FitResult("general", x, residual, steps, converged)
 
 
-def _closed_form_start(k_in, k_out):
-    """The Mueller entries (1, 15) that three exact pairs determine, or None.
+def _conic_points(c1, c2, d, boost):
+    """Points (2, 2) of the unit circle p^2 + q^2 = 1, or of the hyperbola
+    p^2 - q^2 = 1 when ``boost``, on the line c1 p + c2 q = d.  Where the
+    line misses the curve, which rounding causes when it touches it, the
+    point where c1 p + c2 q comes nearest d stands in, twice."""
+    if not boost:
+        offset = np.arccos(np.clip(d / np.hypot(c1, c2), -1.0, 1.0))
+        theta = np.arctan2(c2, c1) + np.array([offset, -offset])
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+    # With u = +-e^t (the sign picks the branch), (p, q) = (u + 1/u, u - 1/u) / 2
+    # and the line is (c1 + c2) u^2 - 2 d u + (c1 - c2) = 0.
+    disc = d * d - (c1 * c1 - c2 * c2)
+    if disc >= 0:
+        root = d + np.copysign(np.sqrt(disc), d)
+        u = np.array([root / (c1 + c2), (c1 - c2) / root])
+    else:
+        u = np.full(2, np.sign(d * (c1 + c2)) * np.sqrt((c1 - c2) / (c1 + c2)))
+    return np.column_stack([u + 1 / u, u - 1 / u]) / 2
 
-    Applies when the first input K0 is invertible and the other two are
-    rank 1, K_p = a b^T.  Then M K0 M^T = K0' makes M an isometry from the
-    metric G = K0^-1 to G' = K0'^-1 (Givens & Kostinski, J. Mod. Opt. 40,
-    471, 1993), and the rank-1 output x y^T of a product input gives
-    M a = alpha x and M b = y / alpha, with alpha^4 = (a^T G a / x^T G' x)
-    (y^T G' y / b^T G b).  The cross term a1^T G a2 = alpha1 alpha2
-    x1^T G' x2 fixes the sign of alpha1 alpha2, and M00 > 0 the overall
-    sign: M = [alpha1 x1, y1 / alpha1, alpha2 x2, y2 / alpha2] A^-1 with
-    A = [a1 b1 a2 b2], scaled to M00 = 1 and clipped to the box.
+
+def _orbit_starts(a, b, x, y, alpha, g, g_out):
+    """The Mueller matrices (C, 4, 4), C <= 8, with M00 = 1 among the exact
+    fits of an invertible input plus one product input a b^T.
+
+    The isometry M fixes span(a, b) up to a sign s, M a = s alpha x and
+    M b = s y / alpha, and maps the G-orthogonal complement W of span(a, b)
+    (the null space of [G a, G b]^T) isometrically onto the G'-orthogonal
+    complement W' of span(x, y).  With eigh, T^T (W^T G W) T = diag(eta)
+    = T'^T (W'^T G' W') T' (no fit when the signatures differ), so the exact
+    fits are M = [s alpha x, s y / alpha, W' T' O] [a, b, W T]^-1 for every O
+    that keeps diag(eta): a rotation (definite eta) or a boost (indefinite)
+    times I or diag(1, -1).  This is the orbit M0 exp(tX) of the one
+    stabilizer generator X.  M00 is affine in (p, q) = (cos, sin) or
+    (cosh, sinh) of the orbit parameter, so each sign and reflection gives
+    the two points of ``_conic_points``.
     """
-    if len(k_in) != 3:
+    frames = []
+    for u, v, metric in ((a, b, g), (x, y, g_out)):
+        w = np.linalg.svd(np.stack([metric @ u, metric @ v]))[2][2:].T
+        eig, t = np.linalg.eigh(w.T @ metric @ w)
+        frames.append((w @ (t / np.sqrt(np.abs(eig))), np.sign(eig)))
+    (wt, eta), (wt_out, eta_out) = frames
+    if not np.array_equal(eta, eta_out):
+        return np.empty((0, 4, 4))
+    frame_inv = np.linalg.inv(np.column_stack([a, b, wt]))
+    frame_out = np.column_stack([alpha * x, y / alpha, wt_out])
+    # M00 = f D h for M = F' D F^-1 with D = diag(s, s, O), O = (p I + q turn) flip.
+    f, h = frame_out[0], frame_inv[:, 0]
+    boost = eta[0] != eta[1]
+    turn = np.array([[0.0, 1.0 if boost else -1.0], [1.0, 0.0]])
+    blocks = []
+    for s in (1.0, -1.0):
+        for flip in (np.eye(2), np.diag([1.0, -1.0])):
+            c1, c2 = f[2:] @ flip @ h[2:], f[2:] @ turn @ flip @ h[2:]
+            for p, q in _conic_points(c1, c2, 1.0 - s * (f[:2] @ h[:2]), boost):
+                block = np.zeros((4, 4))
+                block[:2, :2] = s * np.eye(2)
+                block[2:, 2:] = (p * np.eye(2) + q * turn) @ flip
+                blocks.append(block)
+    return frame_out @ np.array(blocks) @ frame_inv
+
+
+def _closed_form_start(k_in, k_out):
+    """Candidate Mueller entries (C, 15) that two or three exact pairs
+    determine, or None.
+
+    Applies when the first input K0 is invertible and the others are rank 1,
+    K_p = a b^T.  Then M K0 M^T = K0' makes M an isometry from the metric
+    G = K0^-1 to G' = K0'^-1 (Givens & Kostinski, J. Mod. Opt. 40, 471,
+    1993), and the rank-1 output x y^T of a product input gives M a =
+    alpha x and M b = y / alpha up to one common sign, with alpha^4 =
+    (a^T G a / x^T G' x) (y^T G' y / b^T G b).  With three pairs the cross
+    term a1^T G a2 = alpha1 alpha2 x1^T G' x2 fixes the sign of alpha1 alpha2,
+    and M00 > 0 the overall sign: the one candidate is M = [alpha1 x1,
+    y1 / alpha1, alpha2 x2, y2 / alpha2] A^-1 with A = [a1 b1 a2 b2].  With
+    two pairs the exact fits form a one-parameter orbit, and the candidates
+    are its points with M00 = 1 from ``_orbit_starts``.  Each candidate is
+    scaled to M00 = 1 and clipped to the box.
+    """
+    if len(k_in) not in (2, 3):
         return None
     with np.errstate(all="ignore"):
         try:
@@ -353,21 +420,68 @@ def _closed_form_start(k_in, k_out):
             # their outputs.
             u, sing, vt = np.linalg.svd(np.concatenate([k_in[1:], k_out[1:]]))
             root = np.sqrt(sing[:, :1])
-            (a1, a2, x1, x2), (b1, b2, y1, y2) = u[:, :, 0] * root, vt[:, 0] * root
+            (a, x), (b, y) = np.split(u[:, :, 0] * root, 2), np.split(vt[:, 0] * root, 2)
             g, g_out = np.linalg.inv(k_in[0]), np.linalg.inv(k_out[0])
-            alpha1, alpha2 = (
-                ((a @ g @ a) / (x @ g_out @ x) * (y @ g_out @ y) / (b @ g @ b)) ** 0.25
-                for a, b, x, y in ((a1, b1, x1, y1), (a2, b2, x2, y2)))
-            alpha2 *= np.sign((a1 @ g @ a2) * (x1 @ g_out @ x2))
-            basis = np.column_stack([a1, b1, a2, b2])
-            images = np.column_stack([alpha1 * x1, y1 / alpha1, alpha2 * x2, y2 / alpha2])
-            m = np.linalg.solve(basis.T, images.T).T
+            alpha = np.array([
+                ((ap @ g @ ap) / (xp @ g_out @ xp) * (yp @ g_out @ yp) / (bp @ g @ bp)) ** 0.25
+                for ap, bp, xp, yp in zip(a, b, x, y)])
+            if len(k_in) == 2:
+                m = _orbit_starts(a[0], b[0], x[0], y[0], alpha[0], g, g_out)
+            else:
+                alpha[1] *= np.sign((a[0] @ g @ a[1]) * (x[0] @ g_out @ x[1]))
+                basis = np.column_stack([a[0], b[0], a[1], b[1]])
+                images = np.column_stack([alpha[0] * x[0], y[0] / alpha[0],
+                                          alpha[1] * x[1], y[1] / alpha[1]])
+                m = np.linalg.solve(basis.T, images.T).T[None]
         except np.linalg.LinAlgError:
             return None
-        m /= m[0, 0]
-    if not np.isfinite(m).all():
+        m = m / m[:, :1, :1]
+    m = m[np.isfinite(m).all(axis=(1, 2))]
+    if not len(m):
         return None
-    return np.clip(m.reshape(1, 16)[:, 1:], -1.0, 1.0)
+    return np.clip(m.reshape(-1, 16)[:, 1:], -1.0, 1.0)
+
+
+def _saddle_exit(problem, x):
+    """The point (1, 15) of least cost on the line through x along the
+    Hessian's most negative curvature, or None where the Hessian at x is
+    positive semidefinite or no point of that line is lower than x.  The
+    residual is quadratic in x, so on that line it is r0 + h r1 + h^2 r2
+    exactly and the cost a quartic in h, least at one of its stationary
+    points."""
+    _, _, (hess,) = problem.system(x, None)
+    curvature, vectors = np.linalg.eigh(hess)
+    if curvature[0] >= 0:
+        return None
+    e = vectors[:, 0]
+    r0 = problem.residual(x)[1][0]
+    r1, r2 = problem.jac[0] @ e, problem.quadratic(e[None], m00=0.0)[1][0]
+    roots = np.roots([2 * r2 @ r2, 3 * r1 @ r2, r1 @ r1 + 2 * r0 @ r2, r0 @ r1])
+    h = np.append(roots[roots.imag == 0].real, 0.0)
+    h = h[np.argmin([np.sum((r0 + t * r1 + t * t * r2) ** 2) for t in h])]
+    return np.clip(x + h * e, -1.0, 1.0) if h else None
+
+
+def _polish(problem, x):
+    """Refine a closed-form start x (1, 15) in place; return the step count
+    and whether the solver converged.
+
+    The damping starts at its floor: from 1e-3 the steps can stop on the
+    flat valley that a one-dimensional stabilizer leaves, some 1e-12 above
+    the exact fit.  Where the polished x is a saddle of that valley, a
+    second run starts from ``_saddle_exit`` and x takes its end if that is
+    lower.
+    """
+    steps, (ok,) = _projected_lm(x, problem.system, -1.0, 1000, _GENERAL_FLOOR,
+                                 problem.accel, damping=_GENERAL_FLOOR)
+    exit = _saddle_exit(problem, x) if ok else None
+    if exit is not None:
+        more, (settled,) = _projected_lm(exit, problem.system, -1.0, 1000, _GENERAL_FLOOR,
+                                         problem.accel, damping=_GENERAL_FLOOR)
+        steps = steps + more
+        if settled and problem.norm(exit[0]) < problem.norm(x[0]):
+            x[:] = exit
+    return int(steps[0]), bool(ok)
 
 
 def _random_start_fit(problem, n_starts, seed, residual_tol) -> FitResult:
@@ -409,9 +523,18 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
     builds the Jacobian once and takes from it the gradient, the exact
     Hessian and the exact geodesic acceleration.  Three pairs whose first
     input is invertible and whose other two are rank 1 (such as the Bell
-    tensor plus two product inputs) determine M in closed form; when that
-    M reproduces the data to a relative residual of 1e-8 and the projected
-    Levenberg-Marquardt solver then converges from it, it is the fit.
+    tensor plus two product inputs) determine M in closed form.  Two such
+    pairs (the Bell tensor plus one product input) leave a one-parameter
+    orbit M0 exp(tX) of exact fits, whose points with M00 = 1 follow in
+    closed form.  When the closed-form candidate with the least residual
+    reproduces the data to a relative residual of 1e-8 and the projected
+    Levenberg-Marquardt solver then converges from it, it is the fit, and
+    ``iterations`` counts the polish steps.  A polish that ends where the
+    exact Hessian has negative curvature stopped on a saddle of the flat
+    valley that one stabilizer generator leaves; a second polish then runs
+    from the least-cost point on the line along that curvature, and the
+    lower of the two wins.  For two pairs the fit is one member of the
+    orbit, not necessarily the one that random starts reach.
     Otherwise the ``n_starts`` uniform multistarts run as one batch of the
     solver with a budget of 1000 steps per start; the first start with the
     least residual wins.  If that start ends with an entry on the bound,
@@ -435,14 +558,14 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
                 "underdetermined - see stabilizer report", report
             )
     problem = _Congruence(*map(np.array, zip(*pairs)), "general")
-    x = _closed_form_start(problem.k_in, problem.k_out)
-    bound = _EXACT_REL_RESIDUAL * np.linalg.norm(problem.k_out)
-    if x is not None and problem.norm(x[0]) <= bound:
-        steps, converged = _projected_lm(x, problem.system, -1.0, 1000, _GENERAL_FLOOR,
-                                         problem.accel)
-        if converged[0]:
-            return problem.result(x[0], problem.norm(x[0]), int(steps[0]), True,
-                                  residual_tol)
+    starts = _closed_form_start(problem.k_in, problem.k_out)
+    if starts is not None:
+        residuals = np.sqrt(problem.cost(starts))
+        x = starts[[np.argmin(residuals)]]
+        if residuals.min() <= _EXACT_REL_RESIDUAL * np.linalg.norm(problem.k_out):
+            steps, converged = _polish(problem, x)
+            if converged:
+                return problem.result(x[0], problem.norm(x[0]), steps, True, residual_tol)
     return _random_start_fit(problem, n_starts, seed, residual_tol)
 
 
@@ -452,8 +575,9 @@ def stabilizer_dimension(tensors) -> StabilizerReport:
     The map X -> X K + K X^T is the derivative of the congruence
     M -> M K M^T at M = I, that is the gradient vec(I)^T (Q + Q^T) of the
     quadratic form Q that ``fit_general`` fits with.  The algebra is the
-    SVD null space of these operators, stacked over the inputs, with
-    relative threshold 1e-10; the congruence is invariant under
+    SVD null space of these operators, stacked over the inputs: singular
+    values at most 1e-10 times the largest count, so zero tensors give all
+    of gl(4), dimension 16.  The congruence is invariant under
     M -> M exp(tX) for every generator X, so identifiability of a Mueller
     fit from these inputs requires dimension zero.  Each tensor must be a
     finite 4x4 array (ValueError).
@@ -464,7 +588,7 @@ def stabilizer_dimension(tensors) -> StabilizerReport:
     q = _congruence_form(np.array(tensors), _COORDINATES["general"])
     op = np.eye(4).ravel() @ (q + q.transpose(0, 2, 1))
     _, sing, vt = np.linalg.svd(op)
-    dim = int(np.sum(sing < _NULL_SPACE_REL_TOL * sing[0]))
+    dim = int(np.sum(sing <= _NULL_SPACE_REL_TOL * sing[0]))
     return StabilizerReport(
         tensors=tuple(tensors),
         lie_algebra_dim=dim,

@@ -83,6 +83,20 @@ def random_cptp_ensemble(rng, k=3):
     return qpol2.KrausEnsemble(w / w.sum(), jones)
 
 
+def random_retarder_ensemble(rng, n=1000):
+    """n equally weighted unitary retarders whose axes and retardances
+    scatter around a random mean: a partial depolarizer with a general
+    (non-diagonal) Mueller matrix."""
+    axis = rng.normal(size=3)
+    axes = axis / np.linalg.norm(axis) + 0.35 * rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    theta = rng.uniform(0.3, 2.5) + 0.6 * rng.normal(size=n)
+    gen = np.einsum("ki,iab->kab", axes, qpol2.PAULI[1:])
+    jones = (np.cos(theta / 2)[:, None, None] * np.eye(2)
+             - 1j * np.sin(theta / 2)[:, None, None] * gen)
+    return qpol2.KrausEnsemble(np.full(n, 1.0 / n), jones)
+
+
 def random_rotation_mueller(rng):
     """Mueller matrix of a random polarization rotation (block-diagonal SO(3))."""
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
