@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import mueller_maps_physical
 from .exceptions import UnderdeterminedFitError
 from .polarization import _real
 
@@ -44,8 +45,9 @@ class FitResult:
     M11 = M22 = M33 (isotropic), the diagonal entries (diagonal) or every
     entry but M00 (general).  ``iterations`` counts solver steps for every
     model; for the general model it is the sum over all multistarts, or the
-    polish steps alone when exact data from three inputs, or from an
-    invertible plus a rank-1 input, gave the start in closed form.  A
+    polish steps alone when the fit is the polished closed-form start of
+    three inputs, or of an invertible plus a rank-1 input (kept for exact
+    data, and for inexact data when it is completely positive).  A
     diagonal or isotropic fit to a diagonal input tensor is the closed form
     and reports 0.  ``converged`` means the solver met a tolerance within
     its step budget (for the general model, or ended it moving only along
@@ -183,10 +185,8 @@ def _solve_diagonal(k_in, k_out, model):
     returned after 0 steps.  Otherwise axes with |K_in,aa| <= 0.05 count as
     carrying no signal and ``_projected_lm`` refines each pixel for at most
     100 steps with the exact Hessian of the model's ``_Congruence`` form.
-    The start, the closed form and the residual norms depend on a pixel
-    alone; the Hessian's curvature term is a BLAS product, whose rounding
-    differs between a batch of one pixel and a larger one.  Returns
-    parameters (P, 1 or 3), residual norms, step counts and converged flags.
+    A pixel's fit is bitwise the same in any batch.  Returns parameters
+    (P, 1 or 3), residual norms, step counts and converged flags.
     """
     if model not in ("diagonal", "isotropic"):
         raise ValueError("model must be 'diagonal' or 'isotropic'")
@@ -241,12 +241,13 @@ _SIGN_FLIPS = [
 ]
 _GENERAL_FLOOR = 1e-13
 # Relative residual |r| / |K_out| below which a closed-form start counts as
-# exact data.  The closed form measured 8.6e-13 to 8.2e-10 on tomography
-# outputs from 1e12 pairs per setting (counts rounded below 1e-12), and
-# 1.8e-8 and more once tensor entries carry noise of sd 1e-8 (1.8e-6 and more
-# at sd 1e-6).  The bound sits in that gap, a factor 12 above rounding.  On
-# 1 160 fits below it, the polished start never ended more than 5e-16 above
-# the residual of 20 random starts.
+# exact data, whose converged polish is the fit as it is; above it the polish
+# is the fit only when it is completely positive.  The closed form measured
+# 8.6e-13 to 8.2e-10 on tomography outputs from 1e12 pairs per setting
+# (counts rounded below 1e-12), and 1.8e-8 and more once tensor entries carry
+# noise of sd 1e-8 (1.8e-6 and more at sd 1e-6).  The bound sits in that gap,
+# a factor 12 above rounding.  On 1 160 fits below it, the polished start
+# never ended more than 5e-16 above the residual of 20 random starts.
 _EXACT_REL_RESIDUAL = 1e-8
 
 
@@ -296,11 +297,11 @@ class _Congruence:
         z, r = self.residual(x, rows)
         # d r / dx without the column of the fixed M00; the Hessian
         # J^T J + sum_q r_q Sigma_q is exact.  Gauss-Newton alone (J^T J)
-        # crawls on large residuals.  ``second`` is one 2-D BLAS product,
-        # which rounds differently for a one-row batch; general fits carry
-        # that rounding bit for bit.
+        # crawls on large residuals.  ``second`` is one product per row: a
+        # single 2-D product rounds differently for a one-row batch than for
+        # a larger one, and a row's fit must not depend on its batch.
         self.jac = jac = (z @ self.sym_rows).reshape(r.shape + z.shape[1:])[..., 1:]
-        second = (r @ self.sym_flat).reshape(z.shape + z.shape[1:])[:, 1:, 1:]
+        second = (r[:, None] @ self.sym_flat).reshape(z.shape + z.shape[1:])[:, 1:, 1:]
         hess = jac.transpose(0, 2, 1) @ jac + second
         return (r * r).sum(axis=1), (r[:, None] @ jac)[:, 0], hess
 
@@ -526,18 +527,25 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
     tensor plus two product inputs) determine M in closed form.  Two such
     pairs (the Bell tensor plus one product input) leave a one-parameter
     orbit M0 exp(tX) of exact fits, whose points with M00 = 1 follow in
-    closed form.  When the closed-form candidate with the least residual
-    reproduces the data to a relative residual of 1e-8 and the projected
-    Levenberg-Marquardt solver then converges from it, it is the fit, and
-    ``iterations`` counts the polish steps.  A polish that ends where the
-    exact Hessian has negative curvature stopped on a saddle of the flat
-    valley that one stabilizer generator leaves; a second polish then runs
-    from the least-cost point on the line along that curvature, and the
-    lower of the two wins.  For two pairs the fit is one member of the
-    orbit, not necessarily the one that random starts reach.
-    Otherwise the ``n_starts`` uniform multistarts run as one batch of the
-    solver with a budget of 1000 steps per start; the first start with the
-    least residual wins.  If that start ends with an entry on the bound,
+    closed form.  The projected Levenberg-Marquardt solver polishes the
+    closed-form candidate with the least residual.  When it converges, the
+    polished fit is the fit, and ``iterations`` counts the polish steps, if
+    the candidate reproduced the data to a relative residual of 1e-8 or the
+    fit is completely positive (``mueller_maps_physical``).  So on noisy
+    data whose box least-squares optimum is not completely positive the fit
+    can be the completely positive local minimum reached from the closed
+    form, above that optimum's residual.  No local test tells such data
+    apart; where it was seen, the optimum lay far from the true M.  A polish
+    that ends where the exact Hessian has negative curvature stopped on a
+    saddle of the flat valley that one stabilizer generator leaves; a
+    second polish then runs from the least-cost point on the line along
+    that curvature, and the lower of the two wins.  For two pairs the fit
+    is one member of the orbit, not necessarily the one that random starts
+    reach.  Otherwise (no finite candidate, a polish that does not
+    converge, or an inexact fit that is not completely positive) the
+    ``n_starts`` uniform multistarts run as one batch of the solver with a
+    budget of 1000 steps per start; the first start with the least
+    residual wins.  If that start ends with an entry on the bound,
     one more batch of ``n_starts`` follows from the same stream and the
     best of both wins.  A best start that used up its budget counts as
     converged when its next step would only move along directions whose
@@ -562,10 +570,12 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
     if starts is not None:
         residuals = np.sqrt(problem.cost(starts))
         x = starts[[np.argmin(residuals)]]
-        if residuals.min() <= _EXACT_REL_RESIDUAL * np.linalg.norm(problem.k_out):
-            steps, converged = _polish(problem, x)
-            if converged:
-                return problem.result(x[0], problem.norm(x[0]), steps, True, residual_tol)
+        exact = residuals.min() <= _EXACT_REL_RESIDUAL * np.linalg.norm(problem.k_out)
+        steps, converged = _polish(problem, x)
+        if converged:
+            fit = problem.result(x[0], problem.norm(x[0]), steps, True, residual_tol)
+            if exact or mueller_maps_physical(fit.mueller()):
+                return fit
     return _random_start_fit(problem, n_starts, seed, residual_tol)
 
 
@@ -602,12 +612,10 @@ def reconstruct_image(k_in, pixel_tensors, model="diagonal") -> PixelMap:
 
     ``pixel_tensors`` is an (H, W, 4, 4) array of output tensors sharing the
     input tensor ``k_in``.  One call of the solver behind ``fit_diagonal``
-    fits all pixels.  For a diagonal ``k_in`` each pixel is bitwise what
-    ``fit_diagonal`` returns; for another ``k_in`` the solver's steps can
-    round differently in a batch than for one pixel alone, so a pixel
-    agrees with ``fit_diagonal`` to the solver's tolerance.  Pixels with
-    non-finite tensors are recorded as NaN values with ``converged`` False;
-    a bad ``model`` or ``k_in`` raises ValueError.
+    fits all pixels, and each pixel is bitwise what ``fit_diagonal``
+    returns for it.  Pixels with non-finite tensors are recorded as NaN
+    values with ``converged`` False; a bad ``model`` or ``k_in`` raises
+    ValueError.
     """
     pixel_tensors = np.asarray(pixel_tensors, dtype=float)
     if pixel_tensors.ndim != 4 or pixel_tensors.shape[2:] != (4, 4):

@@ -287,9 +287,10 @@ def test_fit_general_validation():
 
 
 def scipy_general_residual(pairs, n_starts=20, seed=0):
-    """Least residual of scipy's trust-region fits of the general model from
-    the multistarts of ``fit_general``: the bounds, Jacobian and tolerances
-    of the original implementation, kept as the reference optimizer."""
+    """Least residual, and its parameters, of scipy's trust-region fits of
+    the general model from the multistarts of ``fit_general``: the bounds,
+    Jacobian and tolerances of the original implementation, kept as the
+    reference optimizer."""
 
     def mueller(x):
         return np.concatenate([[1.0], x]).reshape(4, 4)
@@ -311,13 +312,14 @@ def scipy_general_residual(pairs, n_starts=20, seed=0):
         return np.array(cols).T
 
     rng = np.random.default_rng(seed)
-    best = np.inf
+    best, best_x = np.inf, None
     for _ in range(n_starts):
         res = least_squares(fun, rng.uniform(-1.0, 1.0, size=15), jac=jac,
                             bounds=(-1.0, 1.0), method="trf",
                             xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        best = min(best, float(np.linalg.norm(res.fun)))
-    return best
+        if np.linalg.norm(res.fun) < best:
+            best, best_x = float(np.linalg.norm(res.fun)), res.x
+    return best, best_x
 
 
 def general_pairs(seed, n_inputs, noise):
@@ -349,19 +351,30 @@ def general_pairs(seed, n_inputs, noise):
 # test_random_start_fit_second_batch_and_flat_valley keeps those checks.
 @example(seed=55265609, family=(2, 0.0))
 @example(seed=55265610, family=(2, 0.0))
+# The box optimum is not completely positive: the fit keeps the CP polish of
+# the closed form, residual 0.5887 against 0.5806, similarity to the true M
+# 0.908 against 0.616.
+@example(seed=16, family=(3, 0.1))
 def test_fit_general_residual_no_worse_than_scipy(seed, family):
     # Noiseless data have a reference on the same data, the true M; noisy
-    # data are held to scipy's fit from the same multistarts.
+    # data are held to scipy's fit from the same multistarts, unless the fit
+    # is CP where scipy's optimum is not and lies closer to the true M.
     n_inputs, noise = family
     m_true, pairs = general_pairs(seed, n_inputs, noise)
     fit = fit_general(pairs, seed=seed % 7)
     assert fit.converged
-    if noise:
-        ref = scipy_general_residual(pairs, seed=seed % 7)
-    else:
+    if not noise:
         ref = np.sqrt(sum(np.sum((m_true @ k_in @ m_true.T - k_out) ** 2)
                           for k_in, k_out in pairs))
-    assert fit.residual <= ref * (1 + 1e-9) + 1e-13
+        assert fit.residual <= ref * (1 + 1e-9) + 1e-13
+        return
+    ref, x = scipy_general_residual(pairs, seed=seed % 7)
+    if fit.residual <= ref * (1 + 1e-9) + 1e-13:
+        return
+    m_ref = np.append(1.0, x).reshape(4, 4)
+    assert qpol2.mueller_maps_physical(fit.mueller())
+    assert not qpol2.mueller_maps_physical(m_ref)
+    assert np.linalg.norm(fit.mueller() - m_true) < np.linalg.norm(m_ref - m_true)
 
 
 def random_start_fit(pairs, seed):
@@ -420,7 +433,7 @@ def test_fit_general_closed_form_for_exact_three_inputs():
         fit = fit_general(pairs, seed=seed)
         assert fit.converged
         assert fit.iterations < 10
-        assert fit.residual <= scipy_general_residual(pairs, seed=seed) * (1 + 1e-9) + 1e-13
+        assert fit.residual <= scipy_general_residual(pairs, seed=seed)[0] * (1 + 1e-9) + 1e-13
 
 
 def test_fit_general_closed_form_for_exact_bell_plus_product():
@@ -454,10 +467,13 @@ def test_fit_general_closed_form_for_exact_bell_plus_product():
         assert fit.residual <= random_start_fit(pairs, seed).residual * (1 + 1e-9) + 1e-13
 
 
-def test_fit_general_inexact_pairs_run_the_random_starts():
-    # Noisy data do not take the closed form, and for a mixed input, a
-    # singular output tensor or a product input given first it returns None:
-    # the fit is bitwise the random-start fit.
+def test_fit_general_inexact_pairs_keep_only_a_cp_polish():
+    # Inexact data keep the polished closed-form start only when its fit is
+    # completely positive: seeds 1, 3 and 4 do, in a few steps where the
+    # random starts take hundreds.  On seeds 0, 5 and 9 the polished fit is
+    # not CP; seeds 2 and 8 have no finite candidate; and for a mixed input,
+    # a singular output tensor or a product input given first the closed form
+    # returns None.  Those fits are bitwise the random-start fit.
     for seed in range(12):
         rng = np.random.default_rng(100 + seed)
         ch = random_cptp_ensemble(rng)
@@ -485,10 +501,16 @@ def test_fit_general_inexact_pairs_run_the_random_starts():
             if seed == 9:  # Bell plus one product input
                 pairs = pairs[:2]
         problem = qpol2.fitting._Congruence(*map(np.array, zip(*pairs)), "general")
-        if seed in (6, 7, 10, 11):
-            assert qpol2.fitting._closed_form_start(problem.k_in, problem.k_out) is None
+        starts = qpol2.fitting._closed_form_start(problem.k_in, problem.k_out)
+        assert (starts is None) == (seed in (2, 6, 7, 8, 10, 11))
         fit = fit_general(pairs, seed=seed)
         ref = qpol2.fitting._random_start_fit(problem, 20, seed, None)
+        if seed in (1, 3, 4):
+            assert fit.converged
+            assert fit.iterations < 100
+            assert qpol2.mueller_maps_physical(fit.mueller())
+            assert fit.residual <= ref.residual * (1 + 1e-9) + 1e-13
+            continue
         assert np.array_equal(fit.params, ref.params)
         assert (fit.residual, fit.iterations, fit.converged) == (
             ref.residual, ref.iterations, ref.converged)
@@ -643,8 +665,11 @@ def test_reconstruct_image_flags_failed_pixels():
 
 
 def test_reconstruct_image_matches_fit_diagonal_bitwise():
+    # On the random two-qubit input, 3 pixels differ from fit_diagonal when
+    # the Hessian's curvature term is one 2-D product over the whole batch.
     rng = np.random.default_rng(11)
-    for k_in in (K_BELL, mixed_reference_tensor()):
+    random_input = correlation_tensor(random_density(np.random.default_rng(9)))
+    for k_in in (K_BELL, mixed_reference_tensor(), random_input):
         tensors = np.concatenate(
             [noisy_outputs(rng, k_in, 6, noise) for noise in (0.0, 0.01, 0.1)]
         ).reshape(3, 6, 4, 4)
