@@ -32,7 +32,7 @@ __all__ = [
 
 _WEIGHT_SUM_TOL = 1e-10
 _TRACE_COND_TOL = 1e-8
-_CHUNK = 4096  # paths per block of the correlated mode's real coherency Gram matrix
+_CHUNK = 2048  # paths per block of the one pass that builds both coherency moments
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,11 @@ class KrausEnsemble:
     jones : (K, 2, 2) complex array of per-realization Jones matrices.
 
     Both are read-only views of the given arrays.  The constructor builds
-    the unnormalized Mueller matrix sum_k M(U_k) once, for every mode but
-    the correlated one; its row 0 holds the Pauli coefficients of
-    sum_k U_k^dagger U_k, whose largest eigenvalue M00 + |(M01, M02, M03)|
-    may not exceed 1.
+    both moments every channel mode reads, in one pass over the paths: the
+    unnormalized Mueller matrix sum_k M(U_k) and the correlated mode's
+    second moment (see ``_moments``), both read-only.  Row 0 of the Mueller
+    matrix holds the Pauli coefficients of sum_k U_k^dagger U_k, whose
+    largest eigenvalue M00 + |(M01, M02, M03)| may not exceed 1.
     """
 
     weights: np.ndarray
@@ -71,9 +72,10 @@ class KrausEnsemble:
         w.flags.writeable = j.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "jones", j)
-        m = _mueller(self.kraus())
-        m.flags.writeable = False
+        m, s = _moments(w, j)
+        m.flags.writeable = s.flags.writeable = False
         object.__setattr__(self, "_raw_mueller", m)
+        object.__setattr__(self, "_second_moment", s)
         if m[0, 0] + np.linalg.norm(m[0, 1:]) > 1 + _TRACE_COND_TOL:
             raise ChannelError("sum_k U_k^dagger U_k exceeds the identity")
 
@@ -120,11 +122,29 @@ _HERMITIAN_TO_MUELLER = np.hstack([_COHERENCY_TO_MUELLER[:, np.diag(_VEC)],
 del _upper, _lower
 
 
-def _mueller(u):
-    """Unnormalized Mueller matrix sum_k M(U_k) of Kraus operators u (K, 2, 2), from
-    the coherency summed over k."""
-    c = np.einsum("kab,kcd->acbd", u, u.conj(), optimize=True)
-    return (c.reshape(-1, 16) @ _COHERENCY_TO_MUELLER.T).real.reshape(4, 4)
+def _moments(weights, jones):
+    """Return the unnormalized Mueller matrix sum_k w_k M(J_k) (4x4) and the second
+    moment S = sum_k w_k vec M(J_k) vec M(J_k)^T (16x16), in one pass over the paths.
+
+    For u_k = w_k^(1/4) J_k, vec M(u_k) = sqrt(w_k) vec M(J_k) = R h_k with
+    R = _HERMITIAN_TO_MUELLER and h_k the 16 real coordinates of vec(u_k) vec(u_k)^H,
+    so the mean is R sum_k sqrt(w_k) h_k and S = R (sum_k h_k h_k^T) R^T.  Both sums
+    run over blocks of _CHUNK paths; a weight within the tolerance below 0 counts as 0.
+    """
+    root = np.sqrt(np.maximum(weights, 0.0))
+    q = np.sqrt(root)
+    mean, gram = np.zeros(16), np.zeros((16, 16))
+    for start in range(0, len(q), _CHUNK):
+        block = slice(start, start + _CHUNK)
+        # Column k of v is vec(u_k), row-major; each row of v is contiguous.
+        v = np.multiply(jones[block].reshape(-1, 4).T, q[block], order="C")
+        vc = v.conj()
+        p = v[_IU] * vc[_JU]
+        h = np.concatenate([(v * vc).real, p.real, p.imag])
+        mean += h @ root[block]
+        gram += h @ h.T
+    r = _HERMITIAN_TO_MUELLER
+    return (r @ mean).reshape(4, 4), r @ gram @ r.T
 
 
 def _output_state(out):
@@ -178,35 +198,17 @@ def apply_two_photon_correlated(ch: KrausEnsemble, rho):
     per-realization congruence sum K_out = sum_k w_k M(J_k) K_in M(J_k)^T,
     renormalized.  It is computed from the second moment
     S = sum_k w_k M(J_k) (x) M(J_k) (16x16) of the per-path Mueller
-    matrices, built from a real Gram matrix of 16 coherency coordinates per
-    path.  A lossless ensemble reports transmittance 1, however many paths
-    it has.  This differs from the independent mode for multi-element
-    ensembles (a correlated Pauli ensemble leaves the Bell state untouched,
-    for instance) and is provided as the alternative microscopic model.
+    matrices, which the ensemble built with its Mueller matrix (see
+    ``_moments``), so this mode reads no path.  A lossless ensemble reports
+    transmittance 1, however many paths it has.  This differs from the
+    independent mode for multi-element ensembles (a correlated Pauli
+    ensemble leaves the Bell state untouched, for instance) and is provided
+    as the alternative microscopic model.
     Returns (rho_out, transmittance T), rho_out accurate to about 1e-16 / T.
     """
     k = correlation_tensor(rho)
-    s = _second_moment(ch)
-    return _output_state(np.einsum("iajb,ab->ij", s.reshape(4, 4, 4, 4), k))
-
-
-def _second_moment(ch: KrausEnsemble):
-    """Return S = sum_k w_k vec M(J_k) vec M(J_k)^T (16x16).
-
-    For u_k = w_k^(1/4) J_k, vec M(u_k) = R h_k with R = _HERMITIAN_TO_MUELLER and
-    h_k the 16 real coordinates of vec(u_k) vec(u_k)^H, so S = R (sum_k h_k h_k^T) R^T;
-    the real Gram matrix is summed over blocks of _CHUNK paths.
-    """
-    q = np.sqrt(np.sqrt(np.maximum(ch.weights, 0.0)))
-    gram = np.zeros((16, 16))
-    for start in range(0, len(q), _CHUNK):
-        # Column k of v is vec(u_k), row-major.
-        v = ch.jones[start:start + _CHUNK].reshape(-1, 4).T * q[start:start + _CHUNK]
-        vc = v.conj()
-        p = v[_IU] * vc[_JU]
-        h = np.concatenate([(v * vc).real, p.real, p.imag])
-        gram += h @ h.T
-    return _HERMITIAN_TO_MUELLER @ gram @ _HERMITIAN_TO_MUELLER.T
+    s = ch._second_moment.reshape(4, 4, 4, 4)
+    return _output_state(np.einsum("iajb,ab->ij", s, k))
 
 
 def mueller_from_kraus(ch: KrausEnsemble):

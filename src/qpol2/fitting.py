@@ -316,13 +316,15 @@ class _Congruence:
     def result(self, x, residual, steps, ok, residual_tol) -> FitResult:
         """The fit at x, whose residual norm is ``residual``; when the data
         leave the sign of the diagonal block free, the representative with
-        M11 >= 0."""
+        M11 >= 0.  Only a true symmetry counts: a flip whose residual differs
+        from the fit's (lower as well as higher) is a different, non-stationary
+        point, so it is not taken."""
         m = np.append(1.0, x).reshape(4, 4)
         if m[1, 1] < 0:
-            tol = residual + max(1e-12, 1e-9 * residual)
+            tol = max(1e-12, 1e-9 * residual)
             for flip in _SIGN_FLIPS:
                 cand = m @ flip
-                if cand[1, 1] >= 0 and self.norm(cand.flat[1:]) <= tol:
+                if cand[1, 1] >= 0 and abs(self.norm(cand.flat[1:]) - residual) <= tol:
                     x = cand.flatten()[1:]
                     residual = self.norm(x)
                     break

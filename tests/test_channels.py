@@ -143,6 +143,10 @@ def test_ensemble_arrays_are_read_only_views():
         ch.weights[0] = 0.5
     assert np.shares_memory(ch.jones, j) and np.shares_memory(ch.weights, w)
     w[0], j[0, 0, 0] = 0.5, 2.0  # the caller's own arrays stay writable
+    # Both moments the constructor builds are read-only too.
+    for moment in (ch._raw_mueller, ch._second_moment):
+        with pytest.raises(ValueError):
+            moment[0, 0] = 2.0
 
 
 def test_pauli_ensemble_identity_weights():
@@ -273,11 +277,14 @@ def test_two_photon_correlated_sums_across_path_chunks():
     assert np.allclose(out, direct / direct_trans, atol=1e-12)
 
 
-def random_lossy_ensemble(rng, k):
+def random_lossy_ensemble(rng, k, zeros=False):
     """k random Jones matrices with unequal weights, scaled so that the largest
-    eigenvalue of sum_k U_k^dagger U_k lies in [0.3, 1): a lossy channel."""
+    eigenvalue of sum_k U_k^dagger U_k lies in [0.3, 1): a lossy channel.
+    With ``zeros``, every third path from the second on has weight exactly 0."""
     jones = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
     w = rng.random(k) ** 3
+    if zeros:
+        w[1::3] = 0.0
     w /= w.sum()
     gain = np.linalg.eigvalsh(np.einsum("k,kba,kbc->ac", w, jones.conj(), jones)).max()
     return KrausEnsemble(w, jones * np.sqrt(rng.uniform(0.3, 1.0) / gain))
@@ -289,32 +296,58 @@ def per_path_mueller(jones):
                            qpol2.polarization.PAULI, jones.conj(), optimize=True).real
 
 
+def coherency_mueller(ch):
+    """sum_k M(U_k) from the coherency sum_k U_k (x) U_k*, U_k = sqrt(w_k) J_k, summed
+    over all paths at once by einsum."""
+    u = np.sqrt(np.maximum(ch.weights, 0.0))[:, None, None] * ch.jones
+    c = np.einsum("kab,kcd->acbd", u, u.conj(), optimize=True)
+    return (c.reshape(16) @ qpol2.channels._COHERENCY_TO_MUELLER.T).real.reshape(4, 4)
+
+
+def test_mueller_matrix_matches_coherency_sum():
+    # The constructor's M, from its one pass over the paths in blocks, against
+    # the coherency summed by einsum, for lossy ensembles with unequal
+    # weights, some of them exactly 0, one spanning two full blocks of paths
+    # and a partial one.
+    rng = np.random.default_rng(24)
+    for k in (1, 2, 5, 300, 2 * qpol2.channels._CHUNK + 7):
+        for zeros in (False, True):
+            ch = random_lossy_ensemble(rng, k, zeros)
+            assert (ch.weights.min() == 0) == (zeros and k > 1)
+            assert np.abs(ch._raw_mueller - coherency_mueller(ch)).max() <= 1e-13
+
+
 def test_second_moment_matches_per_path_mueller_matrices():
     # S = sum_k w_k vec M(J_k) vec M(J_k)^T from explicit per-path Mueller
-    # matrices, for lossy ensembles with unequal weights, one of them
-    # spanning two full blocks of paths and a partial one.
+    # matrices, for lossy ensembles with unequal weights, some of them
+    # exactly 0, one spanning two full blocks of paths and a partial one.
     rng = np.random.default_rng(25)
     for k in (1, 2, 5, 300, 2 * qpol2.channels._CHUNK + 7):
-        ch = random_lossy_ensemble(rng, k)
-        vec_m = per_path_mueller(ch.jones).reshape(k, 16)
-        direct = np.einsum("k,kx,ky->xy", ch.weights, vec_m, vec_m)
-        s = qpol2.channels._second_moment(ch)
-        assert np.abs(s - direct).max() <= 1e-13
+        for zeros in (False, True):
+            ch = random_lossy_ensemble(rng, k, zeros)
+            vec_m = per_path_mueller(ch.jones).reshape(k, 16)
+            direct = np.einsum("k,kx,ky->xy", ch.weights, vec_m, vec_m)
+            assert np.abs(ch._second_moment - direct).max() <= 1e-13
 
 
 def test_two_photon_correlated_ignores_chunk_size(monkeypatch):
     # _CHUNK bounds the working set only: one path per block, a block size
-    # that does not divide K, the default and one block give the same output.
+    # that does not divide K, the default and one block build the same
+    # moments and so the same outputs.  The constructor builds both moments,
+    # so the ensemble is built again after each change of _CHUNK.
     rng = np.random.default_rng(26)
-    ch = random_lossy_ensemble(rng, qpol2.channels._CHUNK + 5)
+    given = random_lossy_ensemble(rng, qpol2.channels._CHUNK + 5)
     rho = random_density(rng)
-    outputs = []
-    for chunk in (1, 7, qpol2.channels._CHUNK, ch.weights.size + 1):
+    runs = []
+    for chunk in (1, 7, qpol2.channels._CHUNK, given.weights.size + 1):
         monkeypatch.setattr(qpol2.channels, "_CHUNK", chunk)
-        outputs.append(apply_two_photon_correlated(ch, rho))
-    for out, trans in outputs[1:]:
-        assert np.abs(out - outputs[0][0]).max() <= 1e-15
-        assert abs(trans - outputs[0][1]) <= 1e-15
+        ch = KrausEnsemble(given.weights, given.jones)
+        runs.append([ch._raw_mueller, ch._second_moment,
+                     *apply_two_photon_correlated(ch, rho),
+                     *apply_two_photon_independent(ch, rho)])
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.abs(got - want).max() <= 1e-15
 
 
 def test_hermitian_coordinates_map_exactly_to_mueller():

@@ -273,6 +273,60 @@ def test_fit_general_sign_convention():
             assert np.linalg.norm(m @ k_in @ m.T - k_out) < 1e-7
 
 
+# A noisy recon unit: the Bell tensor and two product inputs, their outputs
+# through a 1e5-path random-retarder ensemble measured with 1e4 pairs per
+# setting, and that ensemble's Mueller matrix, each 4x4 row by row.
+_FLIP_CASE = np.array([
+    # Bell input
+    0.99999999999999978, 0, 0, 0, 0, -0.99999999999999978, 0, 0, 0, 0, 0.99999999999999978,
+    0, 0, 0, 0, 0.99999999999999978,
+    # its output
+    0.99999999999999967, -0.00080067612650721459, 0.0066389395489521094,
+    -0.0015679907477425875, -0.0024687513900627164, -0.86683199145945355,
+    -0.092878430674791804, -0.01771495929896362, -0.0037364885903652667,
+    -0.096281304212446184, 0.67436946755037563, -0.0064054090120544849,
+    0.00013344602108445987, -0.0065054935278680386, -0.0043036341799741629,
+    0.70099194875672788,
+    # first product input
+    0.99999999999999978, 0.094211492529697405, 0.72992916882573455, 0.67699896836900597,
+    -0.27329308452139267, -0.025747349390805141, -0.19948459403052143, -0.18501913628336641,
+    0.91081232739116358, 0.085808988777968914, 0.66482848508886505, 0.61661900602159125,
+    0.30940554976450274, 0.029149558640285372, 0.22584413576967299, 0.20946723799821357,
+    # its output
+    1, 0.077349847679615336, 0.25666540659536136, 0.79484556714326982, -0.28691823619666029,
+    -0.015710124302327932, -0.061439594405287609, -0.23585199350692709, 0.51873429543483573,
+    0.037424117764781523, 0.13668808787885509, 0.43387961130506303, 0.59224833781770503,
+    0.045829534588956999, 0.15119743834915841, 0.47420559916390603,
+    # second product input
+    0.99999999999999967, -0.0016795541352856436, 0.40712270718203658, -0.91337192884097107,
+    -0.12787123560680275, 0.00021476666254749421, -0.052059283610953577, 0.1167939971094637,
+    -0.94525975194486767, 0.0015876149252981309, -0.38483670920201496, 0.86337372288962178,
+    -0.30022149899285416, 0.00050423826013509809, -0.12222698942421989, 0.27421388961463089,
+    # its output
+    1, -0.049556377903606647, 0.67289000847117586, -0.49131704489723138,
+    -0.086004726024343559, 0.01183735342636788, -0.055174104953407882, 0.052766507646350574,
+    -0.58019751214944937, 0.047249097151009695, -0.39976146952605984, 0.29864238262963116,
+    -0.60480850684381804, 0.024376922733960471, -0.41270230505149574, 0.29131927415399717,
+    # the Mueller matrix of the ensemble
+    1, 0, 0, 0, 0, 0.93249084164668483, -0.047809831320681645, 0.036382735051512662, 0,
+    0.057723065764531442, 0.72282670537737914, -0.40949427557150786, 0,
+    0.016765641339925096, 0.41083317556234289, 0.72638921829222114,
+]).reshape(7, 4, 4)
+_FLIP_CASE_PAIRS = list(zip(_FLIP_CASE[0:6:2], _FLIP_CASE[1:6:2]))
+_FLIP_CASE_MUELLER = _FLIP_CASE[6]
+
+
+def test_fit_general_takes_only_residual_preserving_sign_flips():
+    # A diagonal sign flip is a symmetry of the data only where it leaves the
+    # residual as it is.  Here the closed-form polish ends at residual 0.658,
+    # with M11 < 0 and not completely positive; one flip of it reaches 0.390
+    # and is completely positive, but it is no stationary point, and taking
+    # it kept the fit at similarity 0.937.  The multistarts reach 0.0487.
+    fit = fit_general(_FLIP_CASE_PAIRS)
+    assert fit.residual < 0.05
+    assert mueller_similarity(fit.mueller(), _FLIP_CASE_MUELLER) > 0.99
+
+
 def test_fit_general_validation():
     with pytest.raises(ValueError):
         fit_general([])
