@@ -274,19 +274,26 @@ def normalize_mueller(m) -> np.ndarray:
     return m / m[0, 0]
 
 
-def mueller_maps_physical(m, *, tol=1e-10) -> bool:
-    """Check complete positivity: the Cloude coherency H = sum_k vec(U_k) vec(U_k)^dagger
-    of M / M00 has no eigenvalue below -tol (Cloude, Optik 75, 26, 1986).
+def _coherency(m) -> np.ndarray:
+    """The Cloude coherency H = sum_k vec(U_k) vec(U_k)^dagger (..., 4, 4) of a stack m
+    (..., 4, 4) of Mueller matrices divided by M00 (Cloude, Optik 75, 26, 1986).
 
-    _COHERENCY_TO_MUELLER is unitary, so H is its adjoint times vec(M), reindexed
-    from (a, c, b, d) to (a, b), (c, d); for a diagonal M its eigenvalues are
-    twice the Pauli weights.  M00 <= 0 or a non-finite entry is not physical.
+    _COHERENCY_TO_MUELLER is unitary, so vec(H) is its adjoint times vec(M), reindexed
+    from (a, c, b, d) to (a, b), (c, d); for a diagonal M the eigenvalues of H are twice
+    the Pauli weights.  One product per matrix rounds a slice as that matrix alone.
+    """
+    m = np.asarray(m, dtype=float)
+    v = (m / m[..., :1, :1]).reshape(m.shape[:-2] + (1, 16))
+    return (v @ _COHERENCY_TO_MUELLER.conj())[..., 0, _VEC]
+
+
+def mueller_maps_physical(m, *, tol=1e-10) -> bool:
+    """Check complete positivity: the Cloude coherency ``_coherency(m)`` has no
+    eigenvalue below -tol.  M00 <= 0 or a non-finite entry is not physical.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
         raise ValueError("Mueller matrix must be 4x4")
     if not (np.isfinite(m).all() and m[0, 0] > 0):
         return False
-    c = _COHERENCY_TO_MUELLER.conj().T @ (m / m[0, 0]).ravel()
-    h = c[_VEC]
-    return bool(np.linalg.eigvalsh(h).min() >= -tol)
+    return bool(np.linalg.eigvalsh(_coherency(m)).min() >= -tol)

@@ -12,6 +12,7 @@ import json
 import os
 import struct
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -80,6 +81,11 @@ def _numbers(value, shape, what, kinds="iuf") -> np.ndarray:
         ok = (a.dtype.kind in kinds and a.ndim == len(shape)
               and all(n > 0 if m is None else n == m for n, m in zip(a.shape, shape))
               and np.isfinite(a).all())
+        # numpy reads a boolean among numbers as 0 or 1
+        flat = [value]
+        for _ in range(a.ndim):
+            flat = chain.from_iterable(flat)
+        ok = ok and bool not in set(map(type, flat))
     except ValueError:  # ragged nesting
         ok = False
     if not ok:

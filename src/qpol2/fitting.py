@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import mueller_maps_physical
+from .channels import _coherency, mueller_maps_physical
 from .exceptions import UnderdeterminedFitError
 from .polarization import _real
 
@@ -46,13 +46,12 @@ class FitResult:
     entry but M00 (general).  ``iterations`` counts solver steps for every
     model; for the general model it is the sum over all multistarts, or the
     polish steps alone when the fit is the polished closed-form start of
-    three inputs, or of an invertible plus a rank-1 input (kept for exact
-    data, and for inexact data when it is completely positive).  A
-    diagonal or isotropic fit to a diagonal input tensor is the closed form
-    and reports 0.  ``converged`` means the solver met a tolerance within
-    its step budget (for the general model, or ended it moving only along
-    directions below the damping floor) and, when a residual tolerance was
-    configured, the residual is below it.
+    three inputs, or of an invertible plus a rank-1 input (kept when it is
+    completely positive).  A diagonal or isotropic fit to a diagonal input
+    tensor is the closed form and reports 0.  ``converged`` means the solver
+    met a tolerance within its step budget (for the general model, or ended
+    it moving only along directions below the damping floor) and, when a
+    residual tolerance was configured, the residual is below it.
     """
 
     model: str
@@ -240,16 +239,6 @@ _SIGN_FLIPS = [
     for s3 in (1.0, -1.0)
 ]
 _GENERAL_FLOOR = 1e-13
-# Relative residual |r| / |K_out| below which a closed-form start counts as
-# exact data, whose converged polish is the fit as it is; above it the polish
-# is the fit only when it is completely positive.  The closed form measured
-# 8.6e-13 to 8.2e-10 on tomography outputs from 1e12 pairs per setting
-# (counts rounded below 1e-12), and 1.8e-8 and more once tensor entries carry
-# noise of sd 1e-8 (1.8e-6 and more at sd 1e-6).  The bound sits in that gap,
-# a factor 12 above rounding.  On 1 160 fits below it, the polished start
-# never ended more than 5e-16 above the residual of 20 random starts.
-_EXACT_REL_RESIDUAL = 1e-8
-
 
 class _Congruence:
     """The stacked residuals r = M K_in M^T - K_out of a fit model.
@@ -529,32 +518,30 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
     tensor plus two product inputs) determine M in closed form.  Two such
     pairs (the Bell tensor plus one product input) leave a one-parameter
     orbit M0 exp(tX) of exact fits, whose points with M00 = 1 follow in
-    closed form.  The projected Levenberg-Marquardt solver polishes the
-    closed-form candidate with the least residual.  When it converges, the
-    polished fit is the fit, and ``iterations`` counts the polish steps, if
-    the candidate reproduced the data to a relative residual of 1e-8 or the
-    fit is completely positive (``mueller_maps_physical``).  So on noisy
-    data whose box least-squares optimum is not completely positive the fit
-    can be the completely positive local minimum reached from the closed
-    form, above that optimum's residual.  No local test tells such data
-    apart; where it was seen, the optimum lay far from the true M.  A polish
-    that ends where the exact Hessian has negative curvature stopped on a
-    saddle of the flat valley that one stabilizer generator leaves; a
-    second polish then runs from the least-cost point on the line along
-    that curvature, and the lower of the two wins.  For two pairs the fit
-    is one member of the orbit, not necessarily the one that random starts
-    reach.  Otherwise (no finite candidate, a polish that does not
-    converge, or an inexact fit that is not completely positive) the
-    ``n_starts`` uniform multistarts run as one batch of the solver with a
-    budget of 1000 steps per start; the first start with the least
-    residual wins.  If that start ends with an entry on the bound,
-    one more batch of ``n_starts`` follows from the same stream and the
-    best of both wins.  A best start that used up its budget counts as
-    converged when its next step would only move along directions whose
-    Gauss-Newton curvature is below the damping floor.  A single pair whose
-    input tensor has a nonzero stabilizer algebra is rejected as
-    underdetermined.  When the data leave the sign of the diagonal block
-    free, the representative with M11 >= 0 is returned.
+    closed form, and complete positivity picks one: the candidate whose Cloude
+    coherency has the largest smallest eigenvalue.  The projected
+    Levenberg-Marquardt solver polishes that candidate, and when it converges
+    to a completely positive fit (``mueller_maps_physical``), that fit is the
+    fit and ``iterations`` counts the polish steps.  So on noisy data whose
+    box least-squares optimum is not completely positive the fit can be the
+    completely positive local minimum reached from the closed form, above
+    that optimum's residual.  No local test tells such data apart; where it
+    was seen, the optimum lay far from the true M.  A polish that ends where
+    the exact Hessian has negative curvature stopped on a saddle of the flat
+    valley that one stabilizer generator leaves; a second polish then runs
+    from the least-cost point on the line along that curvature, and the
+    lower of the two wins.  Otherwise (no finite candidate, or a polish that
+    does not converge or is not completely positive) the ``n_starts``
+    uniform multistarts run as one batch of the solver with a budget of 1000
+    steps per start; the first start with the least residual wins.  If that
+    start ends with an entry on the bound, one more batch of ``n_starts``
+    follows from the same stream and the best of both wins.  A best start
+    that used up its budget counts as converged when its next step would
+    only move along directions whose Gauss-Newton curvature is below the
+    damping floor.  A single pair whose input tensor has a nonzero
+    stabilizer algebra is rejected as underdetermined.  When the data leave
+    the sign of the diagonal block free, the representative with M11 >= 0
+    is returned.
     """
     pairs = [_check_tensor_pair(k_in, k_out) for k_in, k_out in pairs]
     if not pairs:
@@ -570,13 +557,12 @@ def fit_general(pairs, n_starts=20, seed=0, residual_tol=None) -> FitResult:
     problem = _Congruence(*map(np.array, zip(*pairs)), "general")
     starts = _closed_form_start(problem.k_in, problem.k_out)
     if starts is not None:
-        residuals = np.sqrt(problem.cost(starts))
-        x = starts[[np.argmin(residuals)]]
-        exact = residuals.min() <= _EXACT_REL_RESIDUAL * np.linalg.norm(problem.k_out)
+        h = _coherency(np.column_stack([np.ones(len(starts)), starts]).reshape(-1, 4, 4))
+        x = starts[[np.argmax(np.linalg.eigvalsh(h)[:, 0])]]
         steps, converged = _polish(problem, x)
         if converged:
             fit = problem.result(x[0], problem.norm(x[0]), steps, True, residual_tol)
-            if exact or mueller_maps_physical(fit.mueller()):
+            if mueller_maps_physical(fit.mueller()):
                 return fit
     return _random_start_fit(problem, n_starts, seed, residual_tol)
 

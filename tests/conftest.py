@@ -29,6 +29,7 @@ MALFORMED_KRAUS_ITEMS = {
     "w_nan": [dict(_EYE2, w=math.nan)],
     "re_inf": [{"w": 1.0, "re": [[math.inf, 0.0], [0.0, 1.0]], "im": _EYE2["im"]}],
     "w_bool": [dict(_EYE2, w=True)],
+    "re_bool": [{"w": 1.0, "re": [[True, 0.0], [0.0, 1.0]], "im": _EYE2["im"]}],
     "re_strings": [{"w": 1.0, "re": [["1", "0"], ["0", "1"]], "im": _EYE2["im"]}],
 }
 

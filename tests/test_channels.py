@@ -658,3 +658,12 @@ def test_mueller_maps_physical_matches_pauli_weights_on_diagonals():
     got = [mueller_maps_physical(np.diag(np.concatenate([[1.0], d]))) for d in diagonals]
     assert np.array_equal(got, cp)
     assert 0 < cp.sum() < len(cp)
+    # The coherency of a stack, scaled by M00, matches slice by slice.
+    stack = np.zeros((1000, 4, 4))
+    stack[:, 0, 0] = rng.uniform(0.5, 2.0, size=1000)
+    stack[:, [1, 2, 3], [1, 2, 3]] = diagonals * stack[:, :1, 0]
+    h = qpol2.channels._coherency(stack)
+    weights = np.sort(2 * (1 + diagonals @ PAULI_SIGNS.T) / 4, axis=1)
+    assert np.allclose(np.linalg.eigvalsh(h), weights, rtol=0, atol=1e-12)
+    for m, hm in zip(stack, h):
+        assert np.array_equal(hm, qpol2.channels._coherency(m))

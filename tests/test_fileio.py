@@ -158,6 +158,12 @@ def test_kraus_json_validation(tmp_path):
     fileio.write_json(STRING_DENSITY, string_state)
     with pytest.raises(FormatError):
         fileio.density_from_json(string_state)
+    # numpy reads a boolean among numbers as 0 or 1.
+    bool_state = tmp_path / "boolstate.json"
+    fileio.write_json({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]],
+                       "im": [[0.0, 0.0], [0.0, False]]}, bool_state)
+    with pytest.raises(FormatError):
+        fileio.density_from_json(bool_state)
     # A structurally valid file with unphysical weights fails ensemble checks.
     bad_sum = tmp_path / "badsum.json"
     fileio.write_json(
@@ -348,6 +354,11 @@ def test_read_mc_config_validation(tmp_path):
     fileio.write_json({"g": 0.5, "d": 0.1, "n_photons": 10, "seed": 0}, missing)
     with pytest.raises(FormatError):
         fileio.read_mc_config(missing)
+    bool_grid = tmp_path / "boolgrid.json"
+    fileio.write_json({"mu_s": 1.0, "g": 0.5, "eta_grid": [0.1, True], "n_photons": 10,
+                       "seed": 0}, bool_grid)
+    with pytest.raises(FormatError):
+        fileio.read_mc_config(bool_grid)
 
 
 def test_load_tensor_from_both_formats(tmp_path):

@@ -16,6 +16,7 @@ from qpol2 import (
     correlation_tensor,
     fit_diagonal,
     fit_general,
+    mueller_from_kraus,
     mueller_similarity,
     propagate_tensor,
     reconstruct_image,
@@ -494,16 +495,18 @@ def test_fit_general_closed_form_for_exact_bell_plus_product():
     # Exact data from a Bell tensor plus one product input leave a
     # one-parameter orbit of exact fits, whose points with M00 = 1 are the
     # closed-form starts; the polish from them takes a few steps, where the
-    # random starts take 600 to 2 100.
+    # random starts take 600 to 2 100.  Of that orbit, complete positivity
+    # picks the true M.
     for seed in range(6):
-        _, pairs = general_pairs(seed, 2, 0.0)
+        m_true, pairs = general_pairs(seed, 2, 0.0)
         fit = fit_general(pairs, seed=seed)
         assert fit.converged
         assert fit.iterations < 100
         assert fit.residual <= random_start_fit(pairs, seed).residual * (1 + 1e-9) + 1e-13
+        assert np.linalg.norm(fit.mueller() - m_true) < 1e-3
     # Counts of 1e12 pairs per setting, rounded to integers, through random
     # retarders and random CPTP channels: whichever path runs, the fit is
-    # no worse than the random starts.
+    # no worse than the random starts, and it is the channel's M.
     cases = [(seed, key, make) for seed in range(6)
              for key, make in ((seed, random_retarder_ensemble),
                                (100 + seed, random_cptp_ensemble))]
@@ -519,15 +522,18 @@ def test_fit_general_closed_form_for_exact_bell_plus_product():
         fit = fit_general(pairs, seed=seed)
         assert fit.converged
         assert fit.residual <= random_start_fit(pairs, seed).residual * (1 + 1e-9) + 1e-13
+        assert np.linalg.norm(fit.mueller() - mueller_from_kraus(ch)[0]) < 1e-3
 
 
 def test_fit_general_inexact_pairs_keep_only_a_cp_polish():
     # Inexact data keep the polished closed-form start only when its fit is
-    # completely positive: seeds 1, 3 and 4 do, in a few steps where the
-    # random starts take hundreds.  On seeds 0, 5 and 9 the polished fit is
-    # not CP; seeds 2 and 8 have no finite candidate; and for a mixed input,
-    # a singular output tensor or a product input given first the closed form
-    # returns None.  Those fits are bitwise the random-start fit.
+    # completely positive: seeds 1, 3, 4 and 9 (Bell plus one product input,
+    # whose candidate nearest complete positivity lies near the true M) do,
+    # in a few steps where the random starts take hundreds.  On seeds 0 and 5
+    # the polished fit is not CP; seeds 2 and 8 have no finite candidate; and
+    # for a mixed input, a singular output tensor or a product input given
+    # first the closed form returns None.  Those fits are bitwise the
+    # random-start fit.
     for seed in range(12):
         rng = np.random.default_rng(100 + seed)
         ch = random_cptp_ensemble(rng)
@@ -559,7 +565,7 @@ def test_fit_general_inexact_pairs_keep_only_a_cp_polish():
         assert (starts is None) == (seed in (2, 6, 7, 8, 10, 11))
         fit = fit_general(pairs, seed=seed)
         ref = qpol2.fitting._random_start_fit(problem, 20, seed, None)
-        if seed in (1, 3, 4):
+        if seed in (1, 3, 4, 9):
             assert fit.converged
             assert fit.iterations < 100
             assert qpol2.mueller_maps_physical(fit.mueller())
